@@ -25,10 +25,17 @@
 // path must beat decode-then-filter by >= 3x on the dictionary and RLE
 // shapes (re-measured once before failing, to ride out scheduler blips).
 // Both paths are identity-checked against each other on every shape.
+//
+// A second table sweeps the HTAP scan's delta union (DESIGN.md §7): the
+// same ScanHtapBatches over a merged main with 0, 1k, 10k and 50k unmerged
+// delta entries, printing scan rows/s and the split between the delta pass
+// and the main pass. Those rows are informational: no JSON, not gated.
 
 #include <cstring>
 
 #include "bench_util.h"
+#include "common/random.h"
+#include "exec/executor.h"
 #include "exec/segment_filter.h"
 
 namespace htap {
@@ -188,6 +195,78 @@ Measured MeasureShape(const Shape& s, int reps) {
   return m;
 }
 
+/// The delta-union sweep: a merged main of `main_rows` rows (64k-row
+/// groups) and an in-memory delta of `entries` unmerged changes — updates
+/// of random main keys (some keys more than once), one delete in ten, one
+/// insert of a new key in ten — scanned with a half-selective predicate.
+void RunDeltaSweep(size_t main_rows, int reps) {
+  const Schema schema({{"id", Type::kInt64},
+                       {"qty", Type::kInt64},
+                       {"tag", Type::kString},
+                       {"amount", Type::kDouble}});
+  const auto row = [](Key id, int64_t qty) {
+    return Row{Value(id), Value(qty), Value(qty % 2 ? "odd" : "even"),
+               Value(static_cast<double>(qty) * 0.5)};
+  };
+  ColumnTable table(schema);
+  std::vector<Row> group;
+  for (Key id = 0; id < static_cast<Key>(main_rows); ++id) {
+    group.push_back(row(id, id % 100));
+    if (group.size() == kSegmentRows) {
+      table.AppendBatch(group, 1);
+      group.clear();
+    }
+  }
+  if (!group.empty()) table.AppendBatch(group, 1);
+  const Predicate pred = Predicate::Lt(1, Value(int64_t{50}));
+  ExecContext exec;  // serial, 4096-row batches
+
+  std::printf("\nDelta union: %zu-row main + unmerged in-memory delta, "
+              "qty < 50, serial (informational)\n\n",
+              main_rows);
+  std::printf("%14s | %10s | %12s | %13s | %12s\n", "delta entries",
+              "out rows", "scan Mrows/s", "delta pass ms", "main pass ms");
+  PrintRule(72);
+  for (size_t entries : {size_t{0}, size_t{1000}, size_t{10000},
+                         size_t{50000}}) {
+    InMemoryDeltaStore delta;
+    Random rng(entries + 1);
+    for (size_t i = 0; i < entries; ++i) {
+      DeltaEntry e;
+      e.csn = 2 + i;
+      const uint64_t kind = rng.Uniform(10);
+      e.op = kind == 0   ? ChangeOp::kDelete
+             : kind == 1 ? ChangeOp::kInsert
+                         : ChangeOp::kUpdate;
+      e.key = e.op == ChangeOp::kInsert
+                  ? static_cast<Key>(main_rows + i)
+                  : static_cast<Key>(rng.Uniform(main_rows));
+      if (e.op != ChangeOp::kDelete)
+        e.row = row(e.key, static_cast<int64_t>(rng.Uniform(100)));
+      delta.Append(e);
+    }
+    double secs = 0, delta_secs = 0, main_secs = 0;
+    size_t out_rows = 0;
+    for (int rep = -1; rep < reps; ++rep) {  // rep -1 = warmup
+      ScanStats st;
+      Stopwatch sw;
+      const auto batches =
+          ScanHtapBatches(table, &delta, kMaxCSN - 1, pred, {}, exec, &st);
+      const double s = sw.ElapsedSeconds();
+      out_rows = TotalActiveRows(batches);
+      if (rep < 0) continue;
+      secs += s;
+      delta_secs += st.delta_seconds;
+      main_secs += st.main_seconds;
+    }
+    std::printf("%14zu | %10zu | %12.1f | %13.2f | %12.2f\n", entries,
+                out_rows,
+                static_cast<double>((main_rows + entries) * reps) / secs / 1e6,
+                delta_secs * 1e3 / reps, main_secs * 1e3 / reps);
+  }
+  PrintRule(72);
+}
+
 }  // namespace
 }  // namespace bench
 }  // namespace htap
@@ -241,6 +320,7 @@ int main(int argc, char** argv) {
   PrintRule(70);
   std::printf("\nAll direct-path results verified identical to "
               "decode-then-filter.\n");
+  RunDeltaSweep(smoke ? 256 * 1024 : 1024 * 1024, reps);
   if (bar_failed) return 1;
   return 0;
 }

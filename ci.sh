@@ -10,8 +10,9 @@
 #   bench  — bench smokes + regression gate (vs BENCH_baseline.json)
 #   rank   — -DHTAP_LOCK_RANK=ON: full ctest under the runtime lock-order
 #            checker, including the lock_rank death tests
-#   asan   — ASan+UBSan over the memory-heavy executor/join/spill tests and
-#            the EBR/OLC concurrency tests
+#   asan   — ASan+UBSan over the memory-heavy executor/join/spill tests,
+#            the sync/delta tests (the scan's delta overlay and the merge's
+#            drain/apply), and the EBR/OLC concurrency tests
 #   tsan   — TSan over the concurrency tests (zero suppressions)
 #   static — clang thread-safety build (-DHTAP_THREAD_SAFETY=ON, -Werror)
 #            — skipped with a notice when clang++ is not installed
@@ -141,10 +142,11 @@ suite_rank() {
 }
 
 suite_asan() {
-  echo "== asan+ubsan: executor/join/spill + EBR/OLC tests =="
+  echo "== asan+ubsan: executor/join/spill + sync/delta + EBR/OLC tests =="
   local ASAN_TESTS=(executor_test parallel_scan_test parallel_join_test
                     grace_join_test columnar_test vectorized_exec_test
                     vectorized_join_test encoding_property_test
+                    sync_test delta_test
                     thread_safety_regression_test
                     ebr_test tp_scaling_test
                     sim_test raft_test dist_db_test)

@@ -46,21 +46,22 @@ void ColumnTable::AppendBatchLocked(const std::vector<Row>& rows) {
             : Segment::Build(vec));
   }
 
+  // A key repeated within the batch is an update of its earlier copy.
   const uint32_t gidx = static_cast<uint32_t>(groups_.size());
-  for (size_t i = 0; i < rows.size(); ++i)
-    key_index_[group->keys[i]] = {gidx, static_cast<uint32_t>(i)};
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const auto pos = std::make_pair(gidx, static_cast<uint32_t>(i));
+    const auto [it, fresh] = key_index_.try_emplace(group->keys[i], pos);
+    if (!fresh) {
+      if (it->second.first == gidx) group->deleted.Set(it->second.second);
+      it->second = pos;
+    }
+  }
   groups_.push_back(std::move(group));
 }
 
 bool ColumnTable::DeleteKey(Key key, CSN csn) {
   WriteGuard g(latch_);
-  const auto it = key_index_.find(key);
-  bool found = false;
-  if (it != key_index_.end()) {
-    groups_[it->second.first]->deleted.Set(it->second.second);
-    key_index_.erase(it);
-    found = true;
-  }
+  const bool found = DeleteKeyLocked(key);
   if (csn > merged_csn_.load(std::memory_order_relaxed))
     // order: release — as AppendBatch: the delete must be visible before
     // the watermark that advertises it.
@@ -68,8 +69,28 @@ bool ColumnTable::DeleteKey(Key key, CSN csn) {
   return found;
 }
 
+bool ColumnTable::DeleteKeyLocked(Key key) {
+  const auto it = key_index_.find(key);
+  if (it == key_index_.end()) return false;
+  groups_[it->second.first]->deleted.Set(it->second.second);
+  key_index_.erase(it);
+  return true;
+}
+
+void ColumnTable::ApplyLocked(const std::vector<Key>& deletes,
+                              const std::vector<Row>& rows, CSN up_to_csn) {
+  for (Key k : deletes) DeleteKeyLocked(k);
+  if (!rows.empty()) AppendBatchLocked(rows);
+  // order: release — as AppendBatch.
+  merged_csn_.store(up_to_csn, std::memory_order_release);
+}
+
 void ColumnTable::Clear() {
   WriteGuard g(latch_);
+  ClearLocked();
+}
+
+void ColumnTable::ClearLocked() {
   groups_.clear();
   key_index_.clear();
   // order: release — the reset store must not reorder before the clears.

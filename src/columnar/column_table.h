@@ -1,7 +1,9 @@
 // ColumnTable: the main column store. An append-only sequence of immutable
 // row groups (IMCUs), each holding one Segment per column, a delete bitmap,
-// and the primary keys decoded for fast delta-override checks. Updates are
-// delete-old-position + append-new-row, applied by the sync pipeline.
+// and the decoded primary keys. A key index maps every key to its one live
+// position, which is how the HTAP scan hides main rows a delta overrides.
+// Updates are delete-old-position + append-new-row, applied by the sync
+// pipeline.
 //
 // `merged_csn` is the freshness cursor: every committed change with
 // CSN <= merged_csn is reflected here; newer changes still live in a delta
@@ -51,15 +53,27 @@ class ColumnTable {
   // ---- Sync-pipeline write API (single writer; scans may run concurrently)
 
   /// Appends a batch of rows as one new row group. Rows whose key already
-  /// exists are treated as updates: the old position is delete-marked first.
+  /// exists — in the table or earlier in the same batch — are treated as
+  /// updates: the old position is delete-marked, so every key has at most
+  /// one live position.
   void AppendBatch(const std::vector<Row>& rows, CSN up_to_csn);
 
   /// Positionally delete-marks the row with this key. Returns false if the
   /// key is not present.
   bool DeleteKey(Key key, CSN csn);
 
+  /// One merged batch in a single hold of the write latch, which the caller
+  /// already has: delete-marks `deletes`, appends `rows` as AppendBatch
+  /// does, and advances merged_csn to `up_to_csn`. The sync pipeline drains
+  /// its delta under the same hold, so no scan sees the drained entries in
+  /// neither the delta nor the main.
+  void ApplyLocked(const std::vector<Key>& deletes,
+                   const std::vector<Row>& rows, CSN up_to_csn)
+      REQUIRES(latch_);
+
   /// Drops all data (rebuild-from-primary begins with this).
   void Clear();
+  void ClearLocked() REQUIRES(latch_);
 
   /// Compacts groups: drops deleted rows and rebuilds segments. Returns
   /// bytes reclaimed (approximate).
@@ -88,6 +102,17 @@ class ColumnTable {
     return groups_[i].get();
   }
 
+  /// The live position of `key` through the key index, no delete-bitmap
+  /// read (the index holds only live positions). Returns false if absent.
+  bool LocateKey(Key key, size_t* group_idx, size_t* offset) const
+      REQUIRES_SHARED(latch_) {
+    const auto it = key_index_.find(key);
+    if (it == key_index_.end()) return false;
+    *group_idx = it->second.first;
+    *offset = it->second.second;
+    return true;
+  }
+
   /// Reconstructs a full row from group/offset (for hybrid plans).
   Row MaterializeRow(const RowGroup& g, size_t offset) const;
 
@@ -112,6 +137,7 @@ class ColumnTable {
 
  private:
   void AppendBatchLocked(const std::vector<Row>& rows) REQUIRES(latch_);
+  bool DeleteKeyLocked(Key key) REQUIRES(latch_);
 
   const Schema schema_;
   bool advise_encodings_ GUARDED_BY(latch_) = false;

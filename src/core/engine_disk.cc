@@ -196,18 +196,25 @@ Status DiskHtapEngine::SyncImcs(TableState* ts, CSN target,
     imcs = ts->imcs;
     loaded = ts->loaded;
   }
-  auto entries = ts->delta->DrainUpTo(target);
-  std::vector<DeltaEntry> projected;
-  projected.reserve(entries.size());
-  for (DeltaEntry& e : entries) {
-    DeltaEntry p;
-    p.op = e.op;
-    p.key = e.key;
-    p.csn = e.csn;
-    if (e.op != ChangeOp::kDelete) p.row = ProjectToLoaded(loaded, e.row);
-    projected.push_back(std::move(p));
+  // Drain and apply in one hold of the IMCS write latch, so a fresh scan
+  // never sees drained entries in neither the delta nor the IMCS.
+  ColumnTable* const table = imcs.get();
+  {
+    WriteGuard g(table->latch());
+    auto entries = ts->delta->DrainUpTo(target);
+    std::vector<DeltaEntry> projected;
+    projected.reserve(entries.size());
+    for (DeltaEntry& e : entries) {
+      DeltaEntry p;
+      p.op = e.op;
+      p.key = e.key;
+      p.csn = e.csn;
+      if (e.op != ChangeOp::kDelete) p.row = ProjectToLoaded(loaded, e.row);
+      projected.push_back(std::move(p));
+    }
+    const FoldedEntries folded = FoldEntries(projected);
+    table->ApplyLocked(folded.deletes, folded.rows, target);
   }
-  ApplyEntriesToColumnTable(imcs.get(), projected, target);
   if (imcs_out != nullptr) *imcs_out = std::move(imcs);
   if (loaded_out != nullptr) *loaded_out = std::move(loaded);
   return Status::OK();

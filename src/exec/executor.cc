@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <limits>
 #include <memory>
@@ -10,6 +11,7 @@
 #include <utility>
 
 #include "common/clock.h"
+#include "common/key_slot_map.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "exec/segment_filter.h"
@@ -26,37 +28,35 @@ Row ProjectRow(const Row& row, const std::vector<int>& projection) {
   return out;
 }
 
-/// Read-only state shared by every morsel of one HTAP scan.
-struct HtapScanShared {
-  const Predicate* pred;
-  const std::vector<int>* projection;
-  const std::unordered_map<Key, const DeltaEntry*>* overrides;
-};
-
-/// Computes one row group's surviving selection: live, non-overridden
-/// positions that pass the predicate. Comparison conjuncts evaluate
-/// directly on the encoded segments (exec/segment_filter.h) — code-space
-/// dictionary compares, per-run RLE, zone-map-pruned FOR — and anything
-/// non-conjunctive falls back to row-at-a-time EvalColumns over the
-/// survivors. Returns false when zone maps skip the whole group. The row
-/// and batch scans share this, so their keep/drop decisions are identical
-/// by construction.
-bool ComputeGroupSelection(const RowGroup& g, const HtapScanShared& s,
-                           std::vector<uint32_t>* sel, ScanStats* st) {
-  const Predicate& pred = *s.pred;
+/// Computes one row group's surviving selection: positions neither
+/// deleted nor `hidden` (the main positions of keys the delta overrides;
+/// an empty bitmap hides nothing) that pass the predicate. Comparison
+/// conjuncts evaluate directly on the encoded segments
+/// (exec/segment_filter.h) — code-space dictionary compares, per-run RLE,
+/// zone-map-pruned FOR — and anything non-conjunctive falls back to
+/// row-at-a-time EvalColumns over the survivors. Returns false when zone
+/// maps skip the whole group. The row and batch scans share this, so
+/// their keep/drop decisions are identical by construction.
+bool ComputeGroupSelection(const RowGroup& g, const Bitmap& hidden,
+                           const Predicate& pred, std::vector<uint32_t>* sel,
+                           ScanStats* st) {
   if (pred.CanSkipGroup(g.columns)) {
     ++st->groups_skipped;
     return false;
   }
-  // Initial selection: live, non-overridden positions.
+  // Initial selection: a word-at-a-time pass over deleted | hidden.
   sel->clear();
   sel->reserve(g.num_rows);
-  const bool any_deleted = g.deleted.AnySet();
-  const auto& overrides = *s.overrides;
-  for (uint32_t i = 0; i < g.num_rows; ++i) {
-    if (any_deleted && g.deleted.Test(i)) continue;
-    if (!overrides.empty() && overrides.count(g.keys[i]) != 0) continue;
-    sel->push_back(i);
+  const std::vector<uint64_t>& del = g.deleted.words();
+  const std::vector<uint64_t>& hid = hidden.words();
+  for (size_t w = 0; w * 64 < g.num_rows; ++w) {
+    uint64_t live = ~((w < del.size() ? del[w] : 0) |
+                      (w < hid.size() ? hid[w] : 0));
+    const size_t rest = g.num_rows - w * 64;
+    if (rest < 64) live &= (uint64_t{1} << rest) - 1;
+    for (; live != 0; live &= live - 1)
+      sel->push_back(static_cast<uint32_t>(w * 64) +
+                     static_cast<uint32_t>(std::countr_zero(live)));
   }
   st->rows_considered += sel->size();
   // Apply conjuncts column-at-a-time; non-conjunctive parts row-at-a-time.
@@ -79,59 +79,229 @@ bool ComputeGroupSelection(const RowGroup& g, const HtapScanShared& s,
   return true;
 }
 
-/// Scans one row group (one morsel) into `out`/`st`. Caller must hold the
-/// table's scan latch shared.
-void ScanGroup(const RowGroup& g, const HtapScanShared& s,
-               std::vector<Row>* out, ScanStats* st) {
-  std::vector<uint32_t> sel;
-  if (!ComputeGroupSelection(g, s, &sel, st)) return;
-  // Materialize the projection.
-  const std::vector<int>& projection = *s.projection;
-  for (uint32_t i : sel) {
-    Row r;
-    if (projection.empty()) {
-      for (const auto& col : g.columns) r.Append(col.Get(i));
-    } else {
-      for (int c : projection)
-        r.Append(g.columns[static_cast<size_t>(c)].Get(i));
-    }
-    out->push_back(std::move(r));
-    ++st->main_rows_emitted;
-  }
-}
+/// Row output of the HTAP scan: main survivors materialize as projected
+/// Rows, delta rows are projected as the pass visits them.
+class RowScanSink {
+ public:
+  using Out = Row;
 
-/// Batch variant of ScanGroup: gathers the surviving selection into
-/// compacted ColumnBatches of at most `batch_rows` rows (0 = whole group),
-/// typed per-encoding gathers, no Value boxing.
-void ScanGroupBatches(const RowGroup& g, const HtapScanShared& s,
-                      size_t batch_rows, std::vector<ColumnBatch>* out,
-                      ScanStats* st) {
-  std::vector<uint32_t> sel;
-  if (!ComputeGroupSelection(g, s, &sel, st)) return;
-  if (sel.empty()) return;
-  const std::vector<int>& projection = *s.projection;
-  const size_t bsz = batch_rows == 0 ? sel.size() : batch_rows;
-  for (size_t lo = 0; lo < sel.size(); lo += bsz) {
-    const size_t n = std::min(bsz, sel.size() - lo);
-    const std::vector<uint32_t> slice(sel.begin() + static_cast<long>(lo),
-                                      sel.begin() + static_cast<long>(lo + n));
-    ColumnBatch b;
-    const auto gather = [&](size_t c) {
-      ColumnVector cv(g.columns[c].type());
-      cv.Reserve(n);
-      GatherSegment(g.columns[c], slice, &cv);
-      b.columns.push_back(std::move(cv));
-    };
-    if (projection.empty()) {
-      b.columns.reserve(g.columns.size());
-      for (size_t c = 0; c < g.columns.size(); ++c) gather(c);
-    } else {
-      b.columns.reserve(projection.size());
-      for (int c : projection) gather(static_cast<size_t>(c));
+  explicit RowScanSink(const std::vector<int>& projection)
+      : projection_(projection) {}
+
+  /// Scans one row group (one morsel) into `out`/`st`.
+  void ScanGroup(const RowGroup& g, const Bitmap& hidden,
+                 const Predicate& pred, std::vector<Row>* out,
+                 ScanStats* st) const {
+    std::vector<uint32_t> sel;
+    if (!ComputeGroupSelection(g, hidden, pred, &sel, st)) return;
+    for (uint32_t i : sel) {
+      Row r;
+      if (projection_.empty()) {
+        for (const auto& col : g.columns) r.Append(col.Get(i));
+      } else {
+        for (int c : projection_)
+          r.Append(g.columns[static_cast<size_t>(c)].Get(i));
+      }
+      out->push_back(std::move(r));
+      ++st->main_rows_emitted;
     }
-    st->main_rows_emitted += n;
-    out->push_back(std::move(b));
   }
+
+  /// Stages one delta row image in the next slot.
+  void AppendDelta(const Row& row) {
+    delta_.push_back(ProjectRow(row, projection_));
+  }
+
+  /// Appends the staged delta rows not superseded by a later entry.
+  void FinishDelta(const std::vector<uint8_t>& superseded,
+                   std::vector<Row>* out) {
+    for (size_t i = 0; i < delta_.size(); ++i)
+      if (!superseded[i]) out->push_back(std::move(delta_[i]));
+  }
+
+ private:
+  const std::vector<int>& projection_;
+  std::vector<Row> delta_;
+};
+
+/// Batch output of the HTAP scan: main survivors gather into compacted
+/// ColumnBatches of at most `batch_rows` rows (0 = whole group) through
+/// typed per-encoding gathers, no Value boxing; delta rows append into
+/// schema-typed batches of the same size, superseded slots dropping out
+/// through the selection vector.
+class BatchScanSink {
+ public:
+  using Out = ColumnBatch;
+
+  BatchScanSink(const Schema& schema, const std::vector<int>& projection,
+                size_t batch_rows)
+      : schema_(schema), projection_(projection), batch_rows_(batch_rows) {}
+
+  void ScanGroup(const RowGroup& g, const Bitmap& hidden,
+                 const Predicate& pred, std::vector<ColumnBatch>* out,
+                 ScanStats* st) const {
+    std::vector<uint32_t> sel;
+    if (!ComputeGroupSelection(g, hidden, pred, &sel, st)) return;
+    if (sel.empty()) return;
+    const size_t bsz = batch_rows_ == 0 ? sel.size() : batch_rows_;
+    for (size_t lo = 0; lo < sel.size(); lo += bsz) {
+      const size_t n = std::min(bsz, sel.size() - lo);
+      const std::vector<uint32_t> slice(
+          sel.begin() + static_cast<long>(lo),
+          sel.begin() + static_cast<long>(lo + n));
+      ColumnBatch b;
+      const auto gather = [&](size_t c) {
+        ColumnVector cv(g.columns[c].type());
+        cv.Reserve(n);
+        GatherSegment(g.columns[c], slice, &cv);
+        b.columns.push_back(std::move(cv));
+      };
+      if (projection_.empty()) {
+        b.columns.reserve(g.columns.size());
+        for (size_t c = 0; c < g.columns.size(); ++c) gather(c);
+      } else {
+        b.columns.reserve(projection_.size());
+        for (int c : projection_) gather(static_cast<size_t>(c));
+      }
+      st->main_rows_emitted += n;
+      out->push_back(std::move(b));
+    }
+  }
+
+  void AppendDelta(const Row& row) {
+    if (delta_.empty() ||
+        (batch_rows_ != 0 && delta_.back().rows() >= batch_rows_))
+      delta_.push_back(MakeBatch(schema_, projection_, batch_rows_));
+    std::vector<ColumnVector>& cols = delta_.back().columns;
+    for (size_t c = 0; c < cols.size(); ++c)
+      cols[c].AppendValue(row.Get(
+          projection_.empty() ? c : static_cast<size_t>(projection_[c])));
+  }
+
+  void FinishDelta(const std::vector<uint8_t>& superseded,
+                   std::vector<ColumnBatch>* out) {
+    size_t base = 0;
+    for (ColumnBatch& b : delta_) {
+      const size_t n = b.rows();
+      for (size_t i = 0; i < n; ++i)
+        if (!superseded[base + i]) b.sel.push_back(static_cast<uint32_t>(i));
+      base += n;
+      b.filtered = b.sel.size() < n;
+      if (!b.filtered) b.sel.clear();  // all active: stay compacted
+      if (b.active() > 0) out->push_back(std::move(b));
+    }
+  }
+
+ private:
+  const Schema& schema_;
+  const std::vector<int>& projection_;
+  const size_t batch_rows_;
+  std::vector<ColumnBatch> delta_;
+};
+
+/// The HTAP scan shared by ScanHtap and ScanHtapBatches (DESIGN.md §7).
+/// Under the table's shared latch, one DeltaReader::ScanVisible pass keeps
+/// the latest visible entry per key and stages each surviving,
+/// predicate-passing one straight into `sink`; an entry replaced by a later
+/// one for the same key is marked superseded. Each overridden key then
+/// resolves once, through the table's key index, to the main position it
+/// hides. The group morsels (one per row group, merged in group order)
+/// test that hidden bitmap beside the delete bitmap — no hashing per main
+/// row — and the delta rows follow the main groups in the commit order of
+/// each key's latest entry. Serial and parallel output are byte-identical.
+template <typename Sink>
+std::vector<typename Sink::Out> ScanHtapWith(
+    const ColumnTable& table, const DeltaReader* delta, CSN snapshot,
+    const Predicate& pred, const ExecContext& exec, ScanStats* st,
+    Sink* sink) {
+  using Out = typename Sink::Out;
+  // Hold the scan latch for the whole pass: Compact() cannot invalidate
+  // group pointers mid-scan, and a merge drains the delta and applies it to
+  // the main under the write latch, so the delta and the main read here
+  // are one consistent state.
+  ReadGuard table_guard(table.latch());
+  const size_t ngroups = table.num_groups_unlocked();
+  st->groups_total = ngroups;
+  std::vector<const RowGroup*> groups(ngroups);
+  for (size_t gi = 0; gi < ngroups; ++gi)
+    groups[gi] = table.group_unlocked(gi);
+
+  // 1. The delta pass and the position resolve.
+  Stopwatch delta_sw;
+  std::vector<Bitmap> hidden(ngroups);
+  std::vector<uint8_t> superseded;  // per staged delta slot
+  if (delta != nullptr) {
+    KeySlotMap keys(delta->EntryCount());  // sized for every staged entry
+    size_t entries_read = 0, emitted = 0;
+    delta->ScanVisible(snapshot, [&](const DeltaEntry& e) {
+      ++entries_read;
+      uint32_t& slot = keys.Upsert(e.key);
+      if (slot != KeySlotMap::kNoSlot) {
+        superseded[slot] = 1;
+        --emitted;
+      }
+      slot = KeySlotMap::kNoSlot;
+      if (e.op == ChangeOp::kDelete || !pred.Eval(e.row)) return;
+      slot = static_cast<uint32_t>(superseded.size());
+      superseded.push_back(0);
+      sink->AppendDelta(e.row);
+      ++emitted;
+    });
+    st->delta_entries_read = entries_read;
+    st->delta_rows_emitted += emitted;
+    for (Key k : keys.keys()) {
+      size_t gi, off;
+      if (!table.LocateKey(k, &gi, &off)) continue;
+      if (hidden[gi].size() == 0) hidden[gi].Resize(groups[gi]->num_rows);
+      hidden[gi].Set(off);
+    }
+  }
+  st->delta_seconds += delta_sw.ElapsedSeconds();
+
+  // 2. The main groups, one morsel each, merged in group order.
+  Stopwatch main_sw;
+  std::vector<Out> out;
+  const size_t workers =
+      exec.parallel() && ngroups > 1 ? std::min(exec.max_parallelism, ngroups)
+                                     : 1;
+  if (workers <= 1) {
+    for (size_t gi = 0; gi < ngroups; ++gi)
+      sink->ScanGroup(*groups[gi], hidden[gi], pred, &out, st);
+  } else {
+    // Workers claim group morsels through a shared cursor; per-group output
+    // vectors keep the merge order-deterministic regardless of which worker
+    // scanned which group.
+    std::vector<std::vector<Out>> partial(ngroups);
+    std::vector<ScanStats> wstats(workers);
+    std::atomic<size_t> next{0};
+    {
+      TaskGroup tg(exec.pool);
+      for (size_t w = 0; w < workers; ++w) {
+        tg.Run([&, w] {
+          for (size_t gi = next.fetch_add(1, std::memory_order_relaxed);
+               gi < ngroups;
+               gi = next.fetch_add(1, std::memory_order_relaxed))
+            sink->ScanGroup(*groups[gi], hidden[gi], pred, &partial[gi],
+                            &wstats[w]);
+        });
+      }
+    }
+    for (const ScanStats& ws : wstats) {
+      st->groups_skipped += ws.groups_skipped;
+      st->main_rows_emitted += ws.main_rows_emitted;
+      st->rows_considered += ws.rows_considered;
+    }
+    size_t total = 0;
+    for (const auto& p : partial) total += p.size();
+    out.reserve(total);
+    for (auto& p : partial)
+      for (Out& o : p) out.push_back(std::move(o));
+  }
+  st->main_seconds += main_sw.ElapsedSeconds();
+
+  // 3. The delta rows after the main groups.
+  sink->FinishDelta(superseded, &out);
+  return out;
 }
 
 }  // namespace
@@ -205,90 +375,9 @@ std::vector<Row> ScanHtap(const ColumnTable& table, const DeltaReader* delta,
                           const std::vector<int>& projection,
                           const ExecContext& exec, ScanStats* stats) {
   ScanStats local;
-  ScanStats* st = stats != nullptr ? stats : &local;
-
-  // 1. Collect the delta override set: latest visible entry per key.
-  std::unordered_map<Key, const DeltaEntry*> overrides;
-  std::vector<DeltaEntry> delta_entries;
-  if (delta != nullptr) {
-    delta->ScanVisible(snapshot, [&](const DeltaEntry& e) {
-      delta_entries.push_back(e);
-    });
-    st->delta_entries_read = delta_entries.size();
-    for (const auto& e : delta_entries) overrides[e.key] = &e;
-  }
-
-  const HtapScanShared shared{&pred, &projection, &overrides};
-
-  // 2. Scan the main column store, skipping deleted and overridden rows.
-  // Hold the table's scan latch for the whole pass so Compact() cannot
-  // invalidate group pointers mid-scan. One morsel per row group; merged
-  // output preserves row-group order, so serial and parallel scans return
-  // identical results.
-  ReadGuard table_guard(table.latch());
-  const size_t ngroups = table.num_groups_unlocked();
-  st->groups_total = ngroups;
-
-  // The delta-override partition is its own morsel: surviving latest-state
-  // rows per key, non-deletes, in override-map iteration order (identical
-  // for serial and parallel — the map is built identically in both).
-  std::vector<Row> delta_out;
-  ScanStats delta_st;
-  auto delta_morsel = [&] {
-    for (const auto& [key, e] : overrides) {
-      if (e->op == ChangeOp::kDelete) continue;
-      if (!pred.Eval(e->row)) continue;
-      delta_out.push_back(ProjectRow(e->row, projection));
-      ++delta_st.delta_rows_emitted;
-    }
-  };
-
-  std::vector<Row> out;
-  const size_t workers =
-      exec.parallel() && ngroups > 1
-          ? std::min(exec.max_parallelism, ngroups)
-          : 1;
-  if (workers <= 1) {
-    for (size_t gi = 0; gi < ngroups; ++gi)
-      ScanGroup(*table.group_unlocked(gi), shared, &out, st);
-    delta_morsel();
-  } else {
-    // Workers claim group morsels through a shared cursor; per-group output
-    // vectors keep the merge order-deterministic regardless of which worker
-    // scanned which group.
-    std::vector<std::vector<Row>> partial(ngroups);
-    std::vector<ScanStats> wstats(workers);
-    std::atomic<size_t> next{0};
-    {
-      TaskGroup tg(exec.pool);
-      tg.Run(delta_morsel);
-      for (size_t w = 0; w < workers; ++w) {
-        tg.Run([&, w] {
-          for (size_t gi = next.fetch_add(1, std::memory_order_relaxed);
-               gi < ngroups;
-               gi = next.fetch_add(1, std::memory_order_relaxed))
-            ScanGroup(*table.group_unlocked(gi), shared, &partial[gi],
-                      &wstats[w]);
-        });
-      }
-    }
-    for (const ScanStats& ws : wstats) {
-      st->groups_skipped += ws.groups_skipped;
-      st->main_rows_emitted += ws.main_rows_emitted;
-      st->rows_considered += ws.rows_considered;
-    }
-    size_t total = 0;
-    for (const auto& p : partial) total += p.size();
-    out.reserve(total + delta_out.size());
-    for (auto& p : partial)
-      for (Row& r : p) out.push_back(std::move(r));
-  }
-
-  // 3. Append the delta partition after the main groups (same position the
-  // serial scan has always emitted it).
-  st->delta_rows_emitted += delta_st.delta_rows_emitted;
-  for (Row& r : delta_out) out.push_back(std::move(r));
-  return out;
+  RowScanSink sink(projection);
+  return ScanHtapWith(table, delta, snapshot, pred, exec,
+                      stats != nullptr ? stats : &local, &sink);
 }
 
 std::vector<Row> ScanHtap(const ColumnTable& table, const DeltaReader* delta,
@@ -306,99 +395,9 @@ std::vector<ColumnBatch> ScanHtapBatches(const ColumnTable& table,
                                          const ExecContext& exec,
                                          ScanStats* stats) {
   ScanStats local;
-  ScanStats* st = stats != nullptr ? stats : &local;
-
-  // 1. Delta override set, exactly as the row scan builds it.
-  std::unordered_map<Key, const DeltaEntry*> overrides;
-  std::vector<DeltaEntry> delta_entries;
-  if (delta != nullptr) {
-    delta->ScanVisible(snapshot, [&](const DeltaEntry& e) {
-      delta_entries.push_back(e);
-    });
-    st->delta_entries_read = delta_entries.size();
-    for (const auto& e : delta_entries) overrides[e.key] = &e;
-  }
-
-  const HtapScanShared shared{&pred, &projection, &overrides};
-
-  ReadGuard table_guard(table.latch());
-  const size_t ngroups = table.num_groups_unlocked();
-  st->groups_total = ngroups;
-
-  // 2. The delta-override partition is its own morsel, emitted as typed
-  // batches after every main group (the position the row scan has always
-  // used). Delta rows append through the schema-typed vectors; rows are in
-  // override-map iteration order, identical for serial and parallel.
-  const Schema& schema = table.schema();
-  std::vector<ColumnBatch> delta_batches;
-  ScanStats delta_st;
-  auto delta_morsel = [&] {
-    ColumnBatch cur;
-    for (const auto& [key, e] : overrides) {
-      if (e->op == ChangeOp::kDelete) continue;
-      if (!pred.Eval(e->row)) continue;
-      if (cur.columns.empty())
-        cur = MakeBatch(schema, projection, exec.batch_rows);
-      if (projection.empty()) {
-        for (size_t c = 0; c < cur.columns.size(); ++c)
-          cur.columns[c].AppendValue(e->row.Get(c));
-      } else {
-        for (size_t c = 0; c < projection.size(); ++c)
-          cur.columns[c].AppendValue(
-              e->row.Get(static_cast<size_t>(projection[c])));
-      }
-      ++delta_st.delta_rows_emitted;
-      if (exec.batch_rows != 0 && cur.rows() >= exec.batch_rows) {
-        delta_batches.push_back(std::move(cur));
-        cur = ColumnBatch{};
-      }
-    }
-    if (cur.rows() > 0) delta_batches.push_back(std::move(cur));
-  };
-
-  // 3. Main groups: one morsel per group, merged in group order — the batch
-  // sequence is byte-identical to the serial pass at any thread count.
-  std::vector<ColumnBatch> out;
-  const size_t workers =
-      exec.parallel() && ngroups > 1 ? std::min(exec.max_parallelism, ngroups)
-                                     : 1;
-  if (workers <= 1) {
-    for (size_t gi = 0; gi < ngroups; ++gi)
-      ScanGroupBatches(*table.group_unlocked(gi), shared, exec.batch_rows,
-                       &out, st);
-    delta_morsel();
-  } else {
-    std::vector<std::vector<ColumnBatch>> partial(ngroups);
-    std::vector<ScanStats> wstats(workers);
-    std::atomic<size_t> next{0};
-    {
-      TaskGroup tg(exec.pool);
-      tg.Run(delta_morsel);
-      for (size_t w = 0; w < workers; ++w) {
-        tg.Run([&, w] {
-          for (size_t gi = next.fetch_add(1, std::memory_order_relaxed);
-               gi < ngroups;
-               gi = next.fetch_add(1, std::memory_order_relaxed))
-            ScanGroupBatches(*table.group_unlocked(gi), shared,
-                             exec.batch_rows, &partial[gi], &wstats[w]);
-        });
-      }
-    }
-    for (const ScanStats& ws : wstats) {
-      st->groups_skipped += ws.groups_skipped;
-      st->main_rows_emitted += ws.main_rows_emitted;
-      st->rows_considered += ws.rows_considered;
-    }
-    size_t total = 0;
-    for (const auto& p : partial) total += p.size();
-    out.reserve(total + delta_batches.size());
-    for (auto& p : partial)
-      for (ColumnBatch& b : p) out.push_back(std::move(b));
-  }
-
-  st->delta_rows_emitted += delta_st.delta_rows_emitted;
-  for (ColumnBatch& b : delta_batches) out.push_back(std::move(b));
-  return out;
+  BatchScanSink sink(table.schema(), projection, exec.batch_rows);
+  return ScanHtapWith(table, delta, snapshot, pred, exec,
+                      stats != nullptr ? stats : &local, &sink);
 }
 
 // ---------------------------------------------------------------------------

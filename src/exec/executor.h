@@ -115,10 +115,14 @@ struct ScanStats {
   size_t delta_rows_emitted = 0;
   size_t delta_entries_read = 0;
   /// Main-store positions that entered predicate evaluation (live and not
-  /// delta-overridden, in groups the zone maps could not skip). The ratio
+  /// hidden by the delta, in groups the zone maps could not skip). The ratio
   /// main_rows_emitted / rows_considered is the scan's observed
   /// selectivity — the optimizer's feedback signal.
   size_t rows_considered = 0;
+  /// Wall time of the delta pass (collect + position resolve) and of the
+  /// main group morsels — the split of the delta union's cost.
+  double delta_seconds = 0;
+  double main_seconds = 0;
 };
 
 /// A materialized query result.
@@ -151,14 +155,20 @@ std::vector<Row> ScanRowStore(const MvccRowStore& store, const Snapshot& snap,
 /// Correctness contract (tested as the delta/column-union invariant): the
 /// result equals scanning a row-store snapshot at `snapshot`, provided
 /// every change with csn <= snapshot is in the column store or the delta.
+///
+/// The delta union is a position overlay (DESIGN.md §7): one pass over the
+/// visible delta, under the table's shared latch, keeps the latest entry
+/// per key; each overridden key hides its one main position through the
+/// table's key index. Output is the main row groups in group order, then
+/// the surviving delta rows in the commit order of each key's latest entry.
 std::vector<Row> ScanHtap(const ColumnTable& table, const DeltaReader* delta,
                           CSN snapshot, const Predicate& pred,
                           const std::vector<int>& projection,
                           ScanStats* stats = nullptr);
 
-/// Morsel-driven variant: each row group is one morsel (plus one morsel for
-/// the delta-override partition), fanned out across `exec.pool` and merged
-/// in row-group order — output is byte-identical to the serial scan.
+/// Morsel-driven variant: the delta pass runs first on the calling thread,
+/// then each row group is one morsel, fanned out across `exec.pool` and
+/// merged in row-group order — output is byte-identical to the serial scan.
 std::vector<Row> ScanHtap(const ColumnTable& table, const DeltaReader* delta,
                           CSN snapshot, const Predicate& pred,
                           const std::vector<int>& projection,
@@ -169,7 +179,9 @@ std::vector<Row> ScanHtap(const ColumnTable& table, const DeltaReader* delta,
 /// encoded segments (src/exec/segment_filter.h) and survivors gather into
 /// compacted ColumnBatches of at most exec.batch_rows rows instead of
 /// materializing Row objects. Batches arrive in row-group order with the
-/// delta-override partition last, so BatchesToRows(result) is byte-identical
+/// delta rows last, written straight into typed batches by the delta pass
+/// (a row superseded by a later entry for its key drops out through the
+/// batch's selection vector), so BatchesToRows(result) is byte-identical
 /// to ScanHtap's output — serial or morsel-parallel, at any thread count.
 /// Delta rows must match the table schema's column types (the same
 /// invariant the merge path relies on).

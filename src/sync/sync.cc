@@ -1,6 +1,6 @@
 #include "sync/sync.h"
 
-#include <unordered_map>
+#include "common/key_slot_map.h"
 
 namespace htap {
 
@@ -47,45 +47,42 @@ DataSynchronizer::DataSynchronizer(ColumnTable* table,
       primary_(primary),
       clock_(clock) {}
 
+FoldedEntries FoldEntries(const std::vector<DeltaEntry>& entries) {
+  // Last write per key wins, at the position of the key's first upsert;
+  // deletes drop pending upserts.
+  FoldedEntries out;
+  std::vector<uint8_t> dead;  // parallel to out.rows
+  KeySlotMap slots(entries.size());
+  for (const DeltaEntry& e : entries) {
+    uint32_t& slot = slots.Upsert(e.key);
+    if (e.op == ChangeOp::kDelete) {
+      if (slot != KeySlotMap::kNoSlot) dead[slot] = 1;
+      out.deletes.push_back(e.key);
+    } else if (slot != KeySlotMap::kNoSlot) {
+      out.rows[slot] = e.row;
+      dead[slot] = 0;
+    } else {
+      slot = static_cast<uint32_t>(out.rows.size());
+      out.rows.push_back(e.row);
+      dead.push_back(0);
+    }
+  }
+  size_t kept = 0;
+  for (size_t i = 0; i < out.rows.size(); ++i) {
+    if (dead[i]) continue;
+    if (kept != i) out.rows[kept] = std::move(out.rows[i]);
+    ++kept;
+  }
+  out.rows.resize(kept);
+  return out;
+}
+
 void ApplyEntriesToColumnTable(ColumnTable* table,
                                const std::vector<DeltaEntry>& entries,
                                CSN up_to) {
-  // Fold the batch: last write per key wins; deletes drop pending upserts.
-  std::vector<Row> to_append;
-  std::vector<bool> dead;  // parallel to to_append
-  std::unordered_map<Key, size_t> pos;
-  std::vector<Key> deletes;
-
-  for (const DeltaEntry& e : entries) {
-    switch (e.op) {
-      case ChangeOp::kInsert:
-      case ChangeOp::kUpdate: {
-        const auto it = pos.find(e.key);
-        if (it != pos.end()) {
-          to_append[it->second] = e.row;
-          dead[it->second] = false;
-        } else {
-          pos[e.key] = to_append.size();
-          to_append.push_back(e.row);
-          dead.push_back(false);
-        }
-        break;
-      }
-      case ChangeOp::kDelete: {
-        const auto it = pos.find(e.key);
-        if (it != pos.end()) dead[it->second] = true;
-        deletes.push_back(e.key);
-        break;
-      }
-    }
-  }
-
-  for (Key k : deletes) table->DeleteKey(k, 0);
-  std::vector<Row> batch;
-  batch.reserve(to_append.size());
-  for (size_t i = 0; i < to_append.size(); ++i)
-    if (!dead[i]) batch.push_back(std::move(to_append[i]));
-  table->AppendBatch(batch, up_to);
+  const FoldedEntries folded = FoldEntries(entries);
+  WriteGuard g(table->latch());
+  table->ApplyLocked(folded.deletes, folded.rows, up_to);
 }
 
 void DataSynchronizer::EnableStatsMaintenance(
@@ -95,6 +92,11 @@ void DataSynchronizer::EnableStatsMaintenance(
       std::make_unique<TableStatsBuilder>(table_->schema().num_columns());
   publish_stats_ = std::move(publish);
   compact_delete_threshold_ = compact_delete_threshold;
+}
+
+void DataSynchronizer::SetDrainHookForTest(std::function<void()> hook) {
+  MutexLock lk(&mu_);
+  drain_hook_for_test_ = std::move(hook);
 }
 
 Status DataSynchronizer::SyncTo(CSN target_csn) {
@@ -113,8 +115,13 @@ Status DataSynchronizer::SyncTo(CSN target_csn) {
       rows.push_back(r);
       return true;
     });
-    table_->Clear();
-    table_->AppendBatch(rows, target_csn);
+    {
+      // One hold: a scan sees the old table or the reloaded one, never the
+      // empty one in between.
+      WriteGuard g(table_->latch());
+      table_->ClearLocked();
+      table_->ApplyLocked({}, rows, target_csn);
+    }
     stats_.rows_loaded += rows.size();
     if (stats_builder_ != nullptr) {
       // A rebuild already holds the full live row set — recompute exactly.
@@ -124,8 +131,17 @@ Status DataSynchronizer::SyncTo(CSN target_csn) {
   } else {
     if (source_ == nullptr)
       return Status::Internal("merge synchronizer has no delta source");
-    const std::vector<DeltaEntry> entries = source_->DrainUpTo(target_csn);
-    ApplyEntriesToColumnTable(table_, entries, target_csn);
+    // Drain and apply in one exclusive hold of the table latch (rank 500,
+    // then the delta store's 550): a scan reads the delta and the main
+    // under the shared latch, so it sees a drained entry in exactly one.
+    std::vector<DeltaEntry> entries;
+    {
+      WriteGuard g(table_->latch());
+      entries = source_->DrainUpTo(target_csn);
+      if (drain_hook_for_test_) drain_hook_for_test_();
+      const FoldedEntries folded = FoldEntries(entries);
+      table_->ApplyLocked(folded.deletes, folded.rows, target_csn);
+    }
     stats_.entries_merged += entries.size();
     if (stats_builder_ != nullptr) {
       stats_builder_->ApplyEntries(entries);

@@ -136,6 +136,11 @@ class DataSynchronizer {
   void EnableStatsMaintenance(StatsPublishFn publish,
                               size_t compact_delete_threshold);
 
+  /// Test seam: runs inside SyncTo between the delta drain and the column
+  /// apply, with the table's write latch held, so a test can widen that
+  /// window and check no scan falls into it.
+  void SetDrainHookForTest(std::function<void()> hook);
+
  private:
   const SyncStrategy strategy_;
   ColumnTable* const table_;
@@ -147,12 +152,22 @@ class DataSynchronizer {
   std::unique_ptr<TableStatsBuilder> stats_builder_ GUARDED_BY(mu_);
   StatsPublishFn publish_stats_ GUARDED_BY(mu_);
   size_t compact_delete_threshold_ GUARDED_BY(mu_) = 0;
+  std::function<void()> drain_hook_for_test_ GUARDED_BY(mu_);
   mutable Mutex mu_{LockRank::kSyncMerge, "sync-merge"};  // one merge at a time
 };
 
-/// Applies a batch of delta entries (commit order) to a column table and
-/// advances merged_csn to `up_to`. Shared by all merge paths, including the
-/// learner replica apply loop.
+/// A batch of delta entries (commit order) folded to its net effect: keys
+/// to delete-mark and the last row image per surviving key.
+struct FoldedEntries {
+  std::vector<Key> deletes;
+  std::vector<Row> rows;
+};
+FoldedEntries FoldEntries(const std::vector<DeltaEntry>& entries);
+
+/// Applies a batch of delta entries (commit order) to a column table in one
+/// hold of its write latch and advances merged_csn to `up_to`. Used where
+/// the entries were drained before (learner replica apply loop);
+/// DataSynchronizer drains under the latch itself.
 void ApplyEntriesToColumnTable(ColumnTable* table,
                                const std::vector<DeltaEntry>& entries,
                                CSN up_to);

@@ -1,12 +1,13 @@
 // Write-ahead log: record format, writer (with group commit), and reader.
 //
 // The WAL is the durability substrate for the MVCC+logging technique family
-// (Table 2, TP row) and the source for log-shipped replication. Records are
-// framed [u32 length][u32 checksum][payload]; payload uses the Value codec.
+// (Table 2, TP row). Records are framed [u32 length][u32 checksum][payload];
+// payload uses the Value codec.
 //
 // The writer supports two backends: a real file (durable, used by the disk
-// architectures and recovery tests) and an in-memory buffer (used by the
-// simulator and by benchmarks that isolate CPU cost from I/O).
+// architectures and recovery tests) and an in-memory buffer (used by
+// benchmarks that isolate CPU cost from I/O, and by tests that parse the
+// log back with WalReader::Parse).
 
 #ifndef HTAP_WAL_WAL_H_
 #define HTAP_WAL_WAL_H_
@@ -79,15 +80,17 @@ class WalWriter {
     return sync_count_;
   }
 
-  /// Copy of the full log contents (in-memory backend or test use).
+  /// Copy of the log contents: the full log on the in-memory backend; on
+  /// the file backend only the unflushed group (read the file back with
+  /// WalReader::ReadFile).
   std::string ContentsForTest() const;
 
  private:
   const Options options_;
   mutable Mutex mu_{LockRank::kWal, "wal-writer"};
   std::string buffer_ GUARDED_BY(mu_);      // unflushed group
-  std::string memory_log_ GUARDED_BY(mu_);  // in-memory backend (always kept;
-                                            // cheap + used by replication)
+  std::string memory_log_ GUARDED_BY(mu_);  // flushed groups, in-memory
+                                            // backend only
   uint64_t tail_lsn_ GUARDED_BY(mu_) = 0;
   uint64_t flushed_lsn_ GUARDED_BY(mu_) = 0;
   uint64_t sync_count_ GUARDED_BY(mu_) = 0;

@@ -204,6 +204,16 @@ TEST(ColumnTableTest, UpsertDeleteMarksOldPosition) {
   EXPECT_EQ(t.MaterializeRow(*t.group(gi), off).Get(1).AsInt64(), 11);
 }
 
+TEST(ColumnTableTest, KeyRepeatedInOneBatchKeepsOneLivePosition) {
+  ColumnTable t(TableSchema());
+  t.AppendBatch({TRow(1, 10), TRow(2, 20), TRow(1, 11)}, 1);
+  EXPECT_EQ(t.live_rows(), 2u);
+  size_t gi, off;
+  ASSERT_TRUE(t.FindKey(1, &gi, &off));
+  EXPECT_EQ(off, 2u);
+  EXPECT_EQ(t.MaterializeRow(*t.group(gi), off).Get(1).AsInt64(), 11);
+}
+
 TEST(ColumnTableTest, DeleteKey) {
   ColumnTable t(TableSchema());
   t.AppendBatch({TRow(1, 10), TRow(2, 20)}, 1);

@@ -1,10 +1,18 @@
 // Delta-store tests: all three designs honor the DeltaReader contract
-// (CSN-ordered visibility, drain semantics), plus design-specific behavior
-// (L1->L2 spill, log-delta file decoding and B+-tree key lookups).
+// (CSN-ordered visibility, drain semantics), the HTAP scan's delta overlay
+// unions each of them with a main column store correctly, plus
+// design-specific behavior (L1->L2 spill, log-delta file decoding and
+// B+-tree key lookups).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "common/thread_pool.h"
 #include "delta/delta.h"
+#include "exec/batch.h"
+#include "exec/executor.h"
 
 namespace htap {
 namespace {
@@ -118,6 +126,147 @@ TEST_P(DeltaContractTest, DrainRemovesOnlyOldEntries) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDeltaDesigns, DeltaContractTest,
+                         ::testing::Values(DeltaKind::kInMemory,
+                                           DeltaKind::kL1L2,
+                                           DeltaKind::kLog));
+
+// ---- The delta overlay of the HTAP scan, over each design ---------------
+
+Row R(Key k, int64_t v) { return Row{Value(k), Value(v)}; }
+
+// Main: keys 0..9 with v = 10k, in two row groups. Every case scans the
+// union with ScanHtap and checks ScanHtapBatches against it at batch_rows
+// 0, 7 and 4096, serial and parallel.
+class DeltaOverlayTest : public DeltaContractTest {
+ protected:
+  DeltaOverlayTest() : table_(TestSchema()), pool_(2, "overlay-ap") {
+    for (Key lo : {Key{0}, Key{5}}) {
+      std::vector<Row> group;
+      for (Key k = lo; k < lo + 5; ++k) group.push_back(R(k, 10 * k));
+      table_.AppendBatch(group, 1);
+    }
+  }
+
+  std::vector<Row> Scan(CSN snap, const Predicate& pred = Predicate::True()) {
+    ScanStats row_st;
+    const auto rows = ScanHtap(table_, reader(), snap, pred, {}, &row_st);
+    for (size_t batch_rows : {size_t{0}, size_t{7}, size_t{4096}}) {
+      for (bool parallel : {false, true}) {
+        SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows) +
+                     (parallel ? " par" : " ser"));
+        ExecContext exec;
+        if (parallel) exec = ExecContext{&pool_, 2};
+        exec.batch_rows = batch_rows;
+        ScanStats st;
+        const auto batches =
+            ScanHtapBatches(table_, reader(), snap, pred, {}, exec, &st);
+        EXPECT_EQ(BatchesToRows(batches), rows);
+        EXPECT_EQ(st.delta_entries_read, row_st.delta_entries_read);
+        EXPECT_EQ(st.delta_rows_emitted, row_st.delta_rows_emitted);
+        EXPECT_EQ(st.rows_considered, row_st.rows_considered);
+        for (const ColumnBatch& b : batches) {
+          EXPECT_GT(b.active(), 0u);
+          if (batch_rows != 0) EXPECT_LE(b.rows(), batch_rows);
+        }
+      }
+    }
+    last_stats_ = row_st;
+    return rows;
+  }
+
+  /// The main rows 0..9 without `skip`, then `tail`.
+  static std::vector<Row> Expect(const std::vector<Key>& skip,
+                                 const std::vector<Row>& tail) {
+    std::vector<Row> out;
+    for (Key k = 0; k < 10; ++k)
+      if (std::find(skip.begin(), skip.end(), k) == skip.end())
+        out.push_back(R(k, 10 * k));
+    out.insert(out.end(), tail.begin(), tail.end());
+    return out;
+  }
+
+  ColumnTable table_;
+  ThreadPool pool_;
+  ScanStats last_stats_;
+};
+
+TEST_P(DeltaOverlayTest, KeyUpdatedTwiceEmitsOnlyTheLatest) {
+  Append(E(ChangeOp::kUpdate, 3, 31, 2));
+  Append(E(ChangeOp::kUpdate, 3, 32, 3));
+  EXPECT_EQ(Scan(10), Expect({3}, {R(3, 32)}));
+  EXPECT_EQ(last_stats_.delta_entries_read, 2u);
+  EXPECT_EQ(last_stats_.delta_rows_emitted, 1u);
+  EXPECT_EQ(last_stats_.rows_considered, 9u);  // main 3 hidden
+}
+
+TEST_P(DeltaOverlayTest, UpdateThenDeleteHidesTheKey) {
+  Append(E(ChangeOp::kUpdate, 6, 61, 2));
+  Append(E(ChangeOp::kDelete, 6, 0, 3));
+  EXPECT_EQ(Scan(10), Expect({6}, {}));
+  EXPECT_EQ(last_stats_.delta_rows_emitted, 0u);
+}
+
+TEST_P(DeltaOverlayTest, DeleteThenReinsertEmitsTheNewRow) {
+  Append(E(ChangeOp::kDelete, 4, 0, 2));
+  Append(E(ChangeOp::kInsert, 4, 44, 3));
+  EXPECT_EQ(Scan(10), Expect({4}, {R(4, 44)}));
+}
+
+TEST_P(DeltaOverlayTest, KeyAbsentFromMainIsAppended) {
+  Append(E(ChangeOp::kInsert, 42, 420, 2));
+  EXPECT_EQ(Scan(10), Expect({}, {R(42, 420)}));
+  EXPECT_EQ(last_stats_.rows_considered, 10u);  // nothing hidden
+}
+
+TEST_P(DeltaOverlayTest, LatestFailingPredicateHidesMainAndEmitsNothing) {
+  // v >= 100: main 8 (v=80) fails; the older delta version (150) passes,
+  // the latest (5) fails — so key 8 appears nowhere.
+  Append(E(ChangeOp::kUpdate, 8, 150, 2));
+  Append(E(ChangeOp::kUpdate, 8, 5, 3));
+  Append(E(ChangeOp::kUpdate, 9, 190, 4));
+  const Predicate pred = Predicate::Ge(1, Value(int64_t{100}));
+  EXPECT_EQ(Scan(10, pred), (std::vector<Row>{R(9, 190)}));
+  EXPECT_EQ(last_stats_.delta_rows_emitted, 1u);
+  // The older version alone passes and is emitted.
+  EXPECT_EQ(Scan(2, pred), (std::vector<Row>{R(8, 150)}));
+}
+
+TEST_P(DeltaOverlayTest, SnapshotBetweenVersionsSeesTheOlder) {
+  Append(E(ChangeOp::kUpdate, 2, 21, 5));
+  Append(E(ChangeOp::kUpdate, 2, 22, 8));
+  Append(E(ChangeOp::kDelete, 2, 0, 11));
+  EXPECT_EQ(Scan(4), Expect({}, {}));
+  EXPECT_EQ(Scan(5), Expect({2}, {R(2, 21)}));
+  EXPECT_EQ(Scan(7), Expect({2}, {R(2, 21)}));
+  EXPECT_EQ(Scan(8), Expect({2}, {R(2, 22)}));
+  EXPECT_EQ(Scan(11), Expect({2}, {}));
+}
+
+TEST_P(DeltaOverlayTest, DeltaRowsFollowCommitOrderOfLatestEntry) {
+  // Key 1 first changes before key 50, but its latest entry is last.
+  Append(E(ChangeOp::kUpdate, 1, 11, 2));
+  Append(E(ChangeOp::kInsert, 50, 500, 3));
+  Append(E(ChangeOp::kInsert, 51, 510, 4));
+  Append(E(ChangeOp::kUpdate, 1, 12, 5));
+  EXPECT_EQ(Scan(10), Expect({1}, {R(50, 500), R(51, 510), R(1, 12)}));
+}
+
+TEST_P(DeltaOverlayTest, ManyKeysAcrossBatchBoundaries) {
+  // Enough entries to span several 7-row batches, grow the key table, and
+  // supersede slots in every batch.
+  CSN c = 2;
+  for (int round = 0; round < 3; ++round)
+    for (Key k = 0; k < 2000; k += 3)
+      Append(E(ChangeOp::kUpdate, k, 1000 * round + k, c++));
+  std::vector<Key> hidden;
+  std::vector<Row> tail;
+  for (Key k = 0; k < 10; k += 3) hidden.push_back(k);
+  for (Key k = 0; k < 2000; k += 3) tail.push_back(R(k, 2000 + k));
+  EXPECT_EQ(Scan(c), Expect(hidden, tail));
+  EXPECT_EQ(last_stats_.delta_entries_read, 3 * tail.size());
+}
+
+INSTANTIATE_TEST_SUITE_P(AllDeltaDesigns, DeltaOverlayTest,
                          ::testing::Values(DeltaKind::kInMemory,
                                            DeltaKind::kL1L2,
                                            DeltaKind::kLog));

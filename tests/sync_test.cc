@@ -5,9 +5,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <map>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/random.h"
+#include "exec/batch.h"
 #include "exec/executor.h"
 #include "sync/sync.h"
 
@@ -213,6 +219,91 @@ TEST(SyncTest, PropertyDeltaColumnUnionEqualsRowStore) {
   // Final full merge: pure column scan (no delta) must also agree.
   ASSERT_TRUE(sync.SyncTo(mgr.LastCommittedCsn()).ok());
   EXPECT_EQ(HtapState(table, nullptr, mgr.LastCommittedCsn()), live);
+}
+
+// A merge drains entries from the delta and applies them to the main. A
+// fresh scan reads both; if it could run between the drain and the apply
+// it would see the drained rows in neither. One writer commits ascending
+// keys, a merge loop follows it with a hook that sleeps between drain and
+// apply, and readers check that every key committed before their scan
+// began appears exactly once.
+TEST(SyncTest, FreshScansNeverFallBetweenDrainAndApply) {
+  constexpr uint64_t kSeed = 20261017;
+  SCOPED_TRACE("seed " + std::to_string(kSeed));
+  constexpr Key kKeys = 3000;
+  ColumnTable table(TestSchema());
+  InMemoryDeltaStore delta;
+  DataSynchronizer sync(
+      SyncStrategy::kInMemoryMerge, &table,
+      std::make_unique<DeltaSourceAdapter<InMemoryDeltaStore>>(&delta));
+  sync.SetDrainHookForTest(
+      [] { std::this_thread::sleep_for(std::chrono::microseconds(200)); });
+
+  std::atomic<CSN> committed{0};
+  std::atomic<bool> done{false};
+  std::atomic<size_t> scans{0};
+  std::thread writer([&] {
+    Random rng(kSeed);
+    Key k = 0;
+    while (k < kKeys) {
+      // Commit a batch of 1..16 ascending keys, one CSN each.
+      const Key end =
+          std::min<Key>(kKeys, k + 1 + static_cast<Key>(rng.Uniform(16)));
+      for (; k < end; ++k) {
+        DeltaEntry e;
+        e.op = ChangeOp::kInsert;
+        e.key = k;
+        e.row = MakeRow(k, k);
+        e.csn = static_cast<CSN>(k + 1);
+        delta.Append(e);
+      }
+      // order: release — the appended entries happen-before a reader that
+      // observes the new frontier.
+      committed.store(static_cast<CSN>(k), std::memory_order_release);
+      std::this_thread::yield();
+    }
+  });
+  std::thread merger([&] {
+    // order: acquire pairs with the readers' release of the stop flag.
+    while (!done.load(std::memory_order_acquire)) {
+      // order: acquire pairs with the writer's release.
+      ASSERT_TRUE(sync.SyncTo(committed.load(std::memory_order_acquire)).ok());
+      std::this_thread::yield();
+    }
+  });
+  auto reader = [&](bool batches) {
+    for (int i = 0; i < 150; ++i) {
+      // order: acquire pairs with the writer's release.
+      const CSN c = committed.load(std::memory_order_acquire);
+      ExecContext exec;
+      exec.batch_rows = 64;
+      const std::vector<Row> rows =
+          batches ? BatchesToRows(ScanHtapBatches(table, &delta, c,
+                                                  Predicate::True(), {}, exec))
+                  : ScanHtap(table, &delta, c, Predicate::True(), {});
+      std::vector<int> seen(kKeys, 0);
+      for (const Row& r : rows) ++seen[static_cast<size_t>(r.Get(0).AsInt64())];
+      for (Key k = 0; k < kKeys; ++k) {
+        if (static_cast<CSN>(k) < c) {
+          ASSERT_EQ(seen[static_cast<size_t>(k)], 1)
+              << "key " << k << " committed before scan at csn " << c;
+        } else {
+          ASSERT_LE(seen[static_cast<size_t>(k)], 1) << "key " << k;
+        }
+      }
+      scans.fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  std::thread row_reader(reader, false);
+  std::thread batch_reader(reader, true);
+  row_reader.join();
+  batch_reader.join();
+  writer.join();
+  // order: release pairs with the merge loop's acquire.
+  done.store(true, std::memory_order_release);
+  merger.join();
+  EXPECT_EQ(scans.load(std::memory_order_relaxed), 300u);
+  EXPECT_GT(sync.stats().merges, 0u);
 }
 
 TEST(FreshnessTrackerTest, LagReflectsUnmergedCommits) {

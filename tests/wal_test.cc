@@ -105,6 +105,8 @@ TEST(WalWriterTest, FileBackendRoundTrip) {
     commit.txn_id = 5;
     w.Append(commit);
     ASSERT_TRUE(w.Sync().ok());
+    // The file is the log: flushed groups are not mirrored in memory.
+    EXPECT_TRUE(w.ContentsForTest().empty());
   }
   auto res = WalReader::ReadFile(path);
   ASSERT_TRUE(res.ok());
