@@ -39,18 +39,19 @@ int main() {
 
   // Per-query latency table over the final state. For join queries the
   // "join ms" column reports the time spent inside the (radix-partitioned)
-  // hash join operator itself, and the batch-pipeline counters (DESIGN.md
-  // §13) show whether the query ran batch-native: input batches consumed,
-  // rows whose payloads were late-materialized, and columnar spill pages
-  // written/read (0 unless a spill budget forced the grace path). Counters
-  // come from the last run; latencies are medians of 5.
+  // hash join operator itself; "agg ms" and "groups" report the final
+  // HashAggregate (every CH query ends in one). The batch-pipeline counters
+  // (DESIGN.md §13) show whether the query ran batch-native: input batches
+  // consumed, rows whose payloads were late-materialized, and columnar spill
+  // pages written/read (0 unless a spill budget forced the grace path).
+  // Counters come from the last run; latencies are medians of 5.
   db->ForceSyncAll();
-  std::printf("%-6s | %10s | %9s | %8s | %7s | %9s | %8s | %s\n", "query",
-              "median ms", "join ms", "rows", "batches", "late rows",
-              "spill pg", "description");
-  PrintRule(118);
+  std::printf("%-6s | %10s | %9s | %8s | %7s | %8s | %7s | %9s | %8s | %s\n",
+              "query", "median ms", "join ms", "agg ms", "groups", "rows",
+              "batches", "late rows", "spill pg", "description");
+  PrintRule(138);
   for (const ChQuery& q : ChQueries()) {
-    std::vector<double> ms, join_ms;
+    std::vector<double> ms, join_ms, agg_ms;
     size_t rows = 0;
     QueryExecInfo last;
     for (int i = 0; i < 5; ++i) {
@@ -59,24 +60,30 @@ int main() {
       auto res = db->Query(q.plan, &info);
       ms.push_back(sw.ElapsedSeconds() * 1000);
       join_ms.push_back(info.join.seconds * 1000);
+      agg_ms.push_back(info.agg.seconds * 1000);
       if (res.ok()) rows = res->rows.size();
       last = info;
     }
     std::sort(ms.begin(), ms.end());
     std::sort(join_ms.begin(), join_ms.end());
+    std::sort(agg_ms.begin(), agg_ms.end());
+    std::printf("%-6s | %10.2f | ", q.name.c_str(), ms[ms.size() / 2]);
     if (q.plan.has_join)
-      std::printf("%-6s | %10.2f | %9.2f | %8zu | %7zu | %9zu | %8zu | %s\n",
-                  q.name.c_str(), ms[ms.size() / 2],
-                  join_ms[join_ms.size() / 2], rows, last.join.join_batches,
+      std::printf("%9.2f | ", join_ms[join_ms.size() / 2]);
+    else
+      std::printf("%9s | ", "-");
+    std::printf("%8.2f | %7zu | %8zu | ", agg_ms[agg_ms.size() / 2],
+                last.agg.groups_out, rows);
+    if (q.plan.has_join)
+      std::printf("%7zu | %9zu | %8zu | %s\n", last.join.join_batches,
                   last.join.rows_late_materialized,
                   last.join.spill_pages_written + last.join.spill_pages_read,
                   q.description.c_str());
     else
-      std::printf("%-6s | %10.2f | %9s | %8zu | %7s | %9s | %8s | %s\n",
-                  q.name.c_str(), ms[ms.size() / 2], "-", rows, "-", "-", "-",
+      std::printf("%7s | %9s | %8s | %s\n", "-", "-", "-",
                   q.description.c_str());
   }
-  PrintRule(118);
+  PrintRule(138);
 
   // Multi-join SQL variants: the queries whose CH originals touch three or
   // more tables run their full chain through the SQL front end. The exec

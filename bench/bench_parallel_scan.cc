@@ -12,6 +12,12 @@
 // Speedup expectations depend on the host: with >= 4 cores the 4-thread
 // point should clear 2x; on a single-core host the curve is flat and only
 // the identity checks are meaningful.
+//
+// A second table sweeps HashAggregate over group counts (1, 16, 4k, 256k)
+// with int64 and string keys — batch input serial and at 4 workers, and
+// row input serial — and prints rows/s per point. It is informational: the
+// low counts are the CH-query shape (a handful of groups, hot in cache),
+// the high ones grow the group table to one group per row.
 
 #include <algorithm>
 
@@ -85,6 +91,79 @@ Point RunPoint(const ColumnTable& table, const InMemoryDeltaStore& delta,
   return p;
 }
 
+/// Batches of (key, v, price) rows; row i has key i % groups, as an int64 or
+/// as a string.
+std::vector<ColumnBatch> SweepBatches(size_t groups, Type key_type) {
+  const Schema schema({{"key", key_type}, {"v", Type::kInt64},
+                       {"price", Type::kDouble}});
+  std::vector<ColumnBatch> batches;
+  for (size_t lo = 0; lo < kRows; lo += kGroupRows) {
+    ColumnBatch b = MakeBatch(schema, {}, kGroupRows);
+    for (size_t i = lo; i < lo + kGroupRows; ++i) {
+      const auto k = static_cast<int64_t>(i % groups);
+      if (key_type == Type::kString)
+        b.columns[0].AppendString("key-" + std::to_string(k));
+      else
+        b.columns[0].AppendInt64(k);
+      b.columns[1].AppendInt64(static_cast<int64_t>(i % 101));
+      b.columns[2].AppendDouble(static_cast<double>(i % 1000) * 0.5);
+    }
+    batches.push_back(std::move(b));
+  }
+  return batches;
+}
+
+/// Mean rows/s of the aggregate over batches or rows, kReps timed runs
+/// (one warmup).
+template <typename Input>
+double AggRowsPerSec(const Input& input, const ExecContext& exec,
+                     size_t want_groups) {
+  const std::vector<AggSpec> aggs = {AggSpec::Count("n"), AggSpec::Sum(2, "s"),
+                                     AggSpec::Max(1, "mx")};
+  double sec = 0;
+  for (int rep = -1; rep < kReps; ++rep) {
+    Stopwatch sw;
+    const auto out = HashAggregate(input, {0}, aggs, exec);
+    if (rep >= 0) sec += sw.ElapsedSeconds();
+    if (out.size() != want_groups) {
+      std::fprintf(stderr, "FATAL: aggregate sweep produced %zu groups, "
+                   "want %zu\n", out.size(), want_groups);
+      std::abort();
+    }
+  }
+  return static_cast<double>(kRows) * kReps / sec;
+}
+
+void RunGroupSweep() {
+  ThreadPool pool(4, "bench-agg");
+  ExecContext par;
+  par.pool = &pool;
+  par.max_parallelism = 4;
+  std::printf("\nAggregate over %zu rows by group count (COUNT, SUM, MAX; "
+              "%d reps/point)\n\n", kRows, kReps);
+  std::printf("%8s | %8s | %16s | %16s | %16s\n", "key", "groups",
+              "serial Mrows/s", "4-worker Mrows/s", "row-input Mrows/s");
+  PrintRule(77);
+  for (Type key_type : {Type::kInt64, Type::kString}) {
+    for (size_t groups : {size_t{1}, size_t{16}, size_t{4096}, kRows}) {
+      const auto batches = SweepBatches(groups, key_type);
+      const double serial = AggRowsPerSec(batches, ExecContext{}, groups);
+      const double parallel = AggRowsPerSec(batches, par, groups);
+      const double rows =
+          AggRowsPerSec(BatchesToRows(batches), ExecContext{}, groups);
+      std::printf("%8s | %8zu | %16.2f | %16.2f | %16.2f\n",
+                  TypeName(key_type), groups, serial / 1e6, parallel / 1e6,
+                  rows / 1e6);
+      std::printf("{\"bench\":\"agg_group_sweep\",\"key\":\"%s\","
+                  "\"groups\":%zu,\"serial_rows_per_sec\":%.0f,"
+                  "\"parallel4_rows_per_sec\":%.0f,"
+                  "\"row_input_rows_per_sec\":%.0f}\n",
+                  TypeName(key_type), groups, serial, parallel, rows);
+    }
+  }
+  PrintRule(77);
+}
+
 }  // namespace
 }  // namespace bench
 }  // namespace htap
@@ -155,5 +234,6 @@ int main() {
   PrintRule(78);
   std::printf("\nAll parallel results verified byte-identical to serial "
               "(scan) / set-identical (aggregate).\n");
+  RunGroupSweep();
   return 0;
 }

@@ -10,7 +10,8 @@
 #   bench  — bench smokes + regression gate (vs BENCH_baseline.json)
 #   rank   — -DHTAP_LOCK_RANK=ON: full ctest under the runtime lock-order
 #            checker, including the lock_rank death tests
-#   asan   — ASan+UBSan over the memory-heavy executor/join/spill tests,
+#   asan   — ASan+UBSan over the memory-heavy executor/aggregate/join/spill
+#            tests,
 #            the sync/delta tests (the scan's delta overlay and the merge's
 #            drain/apply), and the EBR/OLC concurrency tests
 #   tsan   — TSan over the concurrency tests (zero suppressions)
@@ -143,7 +144,8 @@ suite_rank() {
 
 suite_asan() {
   echo "== asan+ubsan: executor/join/spill + sync/delta + EBR/OLC tests =="
-  local ASAN_TESTS=(executor_test parallel_scan_test parallel_join_test
+  local ASAN_TESTS=(executor_test aggregate_test parallel_scan_test
+                    parallel_join_test
                     grace_join_test columnar_test vectorized_exec_test
                     vectorized_join_test encoding_property_test
                     sync_test delta_test
@@ -159,7 +161,8 @@ suite_asan() {
 
 suite_tsan() {
   echo "== tsan: concurrency tests =="
-  local TSAN_TESTS=(parallel_scan_test parallel_join_test grace_join_test
+  local TSAN_TESTS=(aggregate_test parallel_scan_test parallel_join_test
+                    grace_join_test
                     columnar_test executor_test common_test sync_test
                     scheduler_test vectorized_exec_test vectorized_join_test
                     thread_safety_regression_test

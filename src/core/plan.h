@@ -84,6 +84,10 @@ struct QueryExecInfo {
   /// join's output. For single-join plans this equals the one step.
   JoinStats join;
 
+  /// The final HashAggregate (zero-initialized when the plan has none):
+  /// rows in, groups out, workers, and wall time.
+  AggStats agg;
+
   /// Per-join stats in execution order (which may differ from plan order —
   /// see QueryExecInfo::join_order).
   std::vector<JoinStats> join_steps;

@@ -738,7 +738,7 @@ Result<BatchJoinOutcome> ExecuteJoinsBatches(
   xi->join.rows_late_materialized += n;
 
   if (!plan.aggs.empty()) {
-    out.rows = HashAggregate(obatches, groups, aggs, exec);
+    out.rows = HashAggregate(obatches, groups, aggs, exec, &xi->agg);
     out.agg_done = true;
   } else {
     out.rows = BatchesToRows(obatches);
@@ -849,7 +849,7 @@ Result<QueryResult> RunPlan(const QueryPlan& plan, const Catalog& catalog,
       scanned = true;
       if (narrowed_agg) {
         rows = HashAggregate(batches.value(), remapped_groups, remapped_aggs,
-                             exec);
+                             exec, &xi->agg);
         agg_done = true;
       } else {
         rows = BatchesToRows(batches.value());
@@ -872,8 +872,9 @@ Result<QueryResult> RunPlan(const QueryPlan& plan, const Catalog& catalog,
 
   if (!plan.aggs.empty() && !agg_done) {
     rows = narrowed_agg
-               ? HashAggregate(rows, remapped_groups, remapped_aggs, exec)
-               : HashAggregate(rows, plan.group_by, plan.aggs, exec);
+               ? HashAggregate(rows, remapped_groups, remapped_aggs, exec,
+                               &xi->agg)
+               : HashAggregate(rows, plan.group_by, plan.aggs, exec, &xi->agg);
   } else if (plan.aggs.empty() && !simple && !projected &&
              !plan.projection.empty()) {
     rows = Project(rows, plan.projection);

@@ -1458,294 +1458,6 @@ std::vector<Row> HashJoin(const std::vector<Row>& left,
   return out;
 }
 
-namespace {
-
-struct AggState {
-  int64_t count = 0;
-  double sum = 0;
-  Value min, max;
-  bool any = false;
-
-  void Update(const Value& v) {
-    ++count;
-    if (v.is_null()) return;
-    if (v.is_int64() || v.is_double()) sum += v.AsDouble();
-    if (!any || v < min) min = v;
-    if (!any || max < v) max = v;
-    any = true;
-  }
-
-  void Merge(const AggState& o) {
-    count += o.count;
-    sum += o.sum;
-    if (o.any) {
-      if (!any || o.min < min) min = o.min;
-      if (!any || max < o.max) max = o.max;
-      any = true;
-    }
-  }
-};
-
-/// Hash of one batch cell, equal to cv.GetValue(i).Hash() without boxing —
-/// Value::Hash delegates to the same typed primitives.
-uint64_t HashCell(const ColumnVector& cv, size_t i) {
-  if (cv.IsNull(i)) return HashNullValue();
-  switch (cv.type()) {
-    case Type::kInt64: return HashInt64(cv.GetInt64(i));
-    case Type::kDouble: return HashDouble(cv.GetDouble(i));
-    case Type::kString: return HashString(cv.GetString(i));
-  }
-  return HashNullValue();
-}
-
-/// Equal to (cv.GetValue(i) == key) — Value::Compare equality, where NULL
-/// equals NULL (group keys bucket NULLs together) — without boxing the cell.
-bool CellEqualsValue(const ColumnVector& cv, size_t i, const Value& key) {
-  if (cv.IsNull(i)) return key.is_null();
-  if (key.is_null()) return false;
-  switch (cv.type()) {
-    case Type::kInt64:
-      if (key.is_string()) return false;
-      if (key.is_int64()) return cv.GetInt64(i) == key.AsInt64();
-      return static_cast<double>(cv.GetInt64(i)) == key.AsDouble();
-    case Type::kDouble:
-      if (key.is_string()) return false;
-      return cv.GetDouble(i) == key.AsDouble();
-    case Type::kString:
-      return key.is_string() && cv.GetString(i) == key.AsString();
-  }
-  return false;
-}
-
-/// A (possibly partial) group-by hash table. Serial aggregation absorbs
-/// every row into one table; parallel aggregation gives each worker its own
-/// table over a disjoint row range and merges them single-threaded.
-class GroupTable {
- public:
-  GroupTable(const std::vector<int>& group_cols,
-             const std::vector<AggSpec>& aggs)
-      : group_cols_(group_cols), aggs_(aggs) {}
-
-  void Absorb(const Row& row) {
-    uint64_t h = 1469598103934665603ULL;
-    for (int c : group_cols_)
-      h = h * 1099511628211ULL ^ row.Get(static_cast<size_t>(c)).Hash();
-    GroupData* gd = FindOrCreate(h, [&](const Row& key_row) {
-      for (size_t i = 0; i < group_cols_.size(); ++i)
-        if (row.Get(static_cast<size_t>(group_cols_[i])) != key_row.Get(i))
-          return false;
-      return true;
-    }, [&] {
-      Row key_row;
-      for (int c : group_cols_)
-        key_row.Append(row.Get(static_cast<size_t>(c)));
-      return key_row;
-    });
-    for (size_t a = 0; a < aggs_.size(); ++a) {
-      if (aggs_[a].column < 0)
-        gd->states[a].Update(Value(static_cast<int64_t>(1)));
-      else
-        gd->states[a].Update(row.Get(static_cast<size_t>(aggs_[a].column)));
-    }
-  }
-
-  /// Absorbs every active position of a batch. Group keys hash and compare
-  /// through the typed cell helpers (no Value boxing on the hot path); a
-  /// key row is boxed only when a new group materializes. State updates are
-  /// bit-exact mirrors of Absorb on the row image, so a batch table and a
-  /// row table over the same input finalize identically.
-  void AbsorbBatch(const ColumnBatch& batch) {
-    batch.ForEachActive([&](size_t i) {
-      uint64_t h = 1469598103934665603ULL;
-      for (int c : group_cols_)
-        h = h * 1099511628211ULL ^
-            HashCell(batch.columns[static_cast<size_t>(c)], i);
-      GroupData* gd = FindOrCreate(h, [&](const Row& key_row) {
-        for (size_t k = 0; k < group_cols_.size(); ++k)
-          if (!CellEqualsValue(
-                  batch.columns[static_cast<size_t>(group_cols_[k])], i,
-                  key_row.Get(k)))
-            return false;
-        return true;
-      }, [&] {
-        Row key_row;
-        for (int c : group_cols_)
-          key_row.Append(batch.columns[static_cast<size_t>(c)].GetValue(i));
-        return key_row;
-      });
-      for (size_t a = 0; a < aggs_.size(); ++a) {
-        if (aggs_[a].column < 0)
-          gd->states[a].Update(Value(static_cast<int64_t>(1)));
-        else
-          gd->states[a].Update(
-              batch.columns[static_cast<size_t>(aggs_[a].column)].GetValue(i));
-      }
-    });
-  }
-
-  /// Merges another partial table into this one. Key rows hash identically
-  /// in both tables (same FNV over the same group values), so the source
-  /// bucket hash is reused directly.
-  void MergeFrom(GroupTable&& other) {
-    for (auto& [h, bucket] : other.groups_) {
-      for (auto& theirs : bucket) {
-        GroupData* mine = FindOrCreate(h, [&](const Row& key_row) {
-          for (size_t i = 0; i < group_cols_.size(); ++i)
-            if (theirs.key_row.Get(i) != key_row.Get(i)) return false;
-          return true;
-        }, [&] { return std::move(theirs.key_row); });
-        for (size_t a = 0; a < aggs_.size(); ++a)
-          mine->states[a].Merge(theirs.states[a]);
-      }
-    }
-  }
-
-  std::vector<Row> Finalize() {
-    std::vector<Row> out;
-    if (groups_.empty() && group_cols_.empty()) {
-      // Global aggregate over zero rows: COUNT=0, others NULL.
-      Row r;
-      for (const auto& agg : aggs_)
-        r.Append(agg.fn == AggSpec::Fn::kCount
-                     ? Value(static_cast<int64_t>(0))
-                     : Value::Null());
-      out.push_back(std::move(r));
-      return out;
-    }
-    for (auto& [h, bucket] : groups_) {
-      for (auto& gd : bucket) {
-        Row r = gd.key_row;
-        for (size_t a = 0; a < aggs_.size(); ++a) {
-          const AggState& s = gd.states[a];
-          switch (aggs_[a].fn) {
-            case AggSpec::Fn::kCount: r.Append(Value(s.count)); break;
-            case AggSpec::Fn::kSum:
-              r.Append(s.any ? Value(s.sum) : Value::Null());
-              break;
-            case AggSpec::Fn::kMin:
-              r.Append(s.any ? s.min : Value::Null());
-              break;
-            case AggSpec::Fn::kMax:
-              r.Append(s.any ? s.max : Value::Null());
-              break;
-            case AggSpec::Fn::kAvg:
-              r.Append(s.any ? Value(s.sum / static_cast<double>(s.count))
-                             : Value::Null());
-              break;
-          }
-        }
-        out.push_back(std::move(r));
-      }
-    }
-    return out;
-  }
-
- private:
-  struct GroupData {
-    Row key_row;
-    std::vector<AggState> states;
-  };
-
-  template <typename MatchFn, typename MakeKeyFn>
-  GroupData* FindOrCreate(uint64_t h, const MatchFn& matches,
-                          const MakeKeyFn& make_key) {
-    auto& bucket = groups_[h];
-    for (auto& cand : bucket)
-      if (matches(cand.key_row)) return &cand;
-    GroupData fresh;
-    fresh.key_row = make_key();
-    fresh.states.resize(aggs_.size());
-    bucket.push_back(std::move(fresh));
-    return &bucket.back();
-  }
-
-  const std::vector<int>& group_cols_;
-  const std::vector<AggSpec>& aggs_;
-  std::unordered_map<uint64_t, std::vector<GroupData>> groups_;
-};
-
-/// Below this input size the fan-out overhead beats the win.
-constexpr size_t kMinRowsPerAggWorker = 2048;
-
-}  // namespace
-
-std::vector<Row> HashAggregate(const std::vector<Row>& rows,
-                               const std::vector<int>& group_cols,
-                               const std::vector<AggSpec>& aggs) {
-  GroupTable table(group_cols, aggs);
-  for (const Row& row : rows) table.Absorb(row);
-  return table.Finalize();
-}
-
-std::vector<Row> HashAggregate(const std::vector<Row>& rows,
-                               const std::vector<int>& group_cols,
-                               const std::vector<AggSpec>& aggs,
-                               const ExecContext& exec) {
-  size_t workers =
-      exec.parallel()
-          ? std::min(exec.max_parallelism,
-                     std::max<size_t>(rows.size() / kMinRowsPerAggWorker, 1))
-          : 1;
-  if (workers <= 1) return HashAggregate(rows, group_cols, aggs);
-
-  std::vector<GroupTable> tables;
-  tables.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) tables.emplace_back(group_cols, aggs);
-  const size_t chunk = (rows.size() + workers - 1) / workers;
-  {
-    TaskGroup tg(exec.pool);
-    for (size_t w = 0; w < workers; ++w) {
-      tg.Run([&, w] {
-        const size_t lo = w * chunk;
-        const size_t hi = std::min(rows.size(), lo + chunk);
-        for (size_t i = lo; i < hi; ++i) tables[w].Absorb(rows[i]);
-      });
-    }
-  }
-  // Single-threaded combine in worker order (deterministic).
-  for (size_t w = 1; w < workers; ++w)
-    tables[0].MergeFrom(std::move(tables[w]));
-  return tables[0].Finalize();
-}
-
-std::vector<Row> HashAggregate(const std::vector<ColumnBatch>& batches,
-                               const std::vector<int>& group_cols,
-                               const std::vector<AggSpec>& aggs,
-                               const ExecContext& exec) {
-  const size_t total = TotalActiveRows(batches);
-  const size_t workers =
-      exec.parallel()
-          ? std::min({exec.max_parallelism,
-                      std::max<size_t>(total / kMinRowsPerAggWorker, 1),
-                      std::max<size_t>(batches.size(), 1)})
-          : 1;
-  if (workers <= 1) {
-    GroupTable table(group_cols, aggs);
-    for (const ColumnBatch& b : batches) table.AbsorbBatch(b);
-    return table.Finalize();
-  }
-  // Parallel: each worker absorbs a contiguous range of whole batches into
-  // its own partial table; tables combine single-threaded in worker order,
-  // mirroring the row variant's determinism contract.
-  std::vector<GroupTable> tables;
-  tables.reserve(workers);
-  for (size_t w = 0; w < workers; ++w) tables.emplace_back(group_cols, aggs);
-  const size_t chunk = (batches.size() + workers - 1) / workers;
-  {
-    TaskGroup tg(exec.pool);
-    for (size_t w = 0; w < workers; ++w) {
-      tg.Run([&, w] {
-        const size_t lo = w * chunk;
-        const size_t hi = std::min(batches.size(), lo + chunk);
-        for (size_t b = lo; b < hi; ++b) tables[w].AbsorbBatch(batches[b]);
-      });
-    }
-  }
-  for (size_t w = 1; w < workers; ++w)
-    tables[0].MergeFrom(std::move(tables[w]));
-  return tables[0].Finalize();
-}
-
 void SortLimit(std::vector<Row>* rows, int col, bool desc, size_t limit) {
   auto cmp = [col, desc](const Row& a, const Row& b) {
     const int c = a.Get(static_cast<size_t>(col))

@@ -9,7 +9,8 @@
 // Map of this header (each operator links its DESIGN.md section):
 //
 //   ScanRowStore / ScanHtap    serial + morsel-driven scans ....... DESIGN §7
-//   HashAggregate              serial + partial-table parallel .... DESIGN §7
+//   HashAggregate              one typed group table, serial or ... DESIGN §7
+//                              partial tables merged in input order
 //   HashJoinPairs / HashJoin   hash equi-join; three regimes ...... DESIGN §§8–9
 //     - serial: one chained table (small builds)
 //     - radix-partitioned parallel: scatter/build/probe morsels
@@ -28,7 +29,9 @@
 // probe), per-worker partial state, deterministic merge.
 //
 // Determinism contract: every operator here returns output byte-identical
-// to its serial execution at any thread count, and the joins additionally
+// to its serial execution at any thread count (the parallel aggregate's
+// SUM/AVG excepted: partial sums merge, so they may round differently;
+// its groups and their order match), and the joins additionally
 // match a nested-loop reference (probe rows in input order; per probe row,
 // matches in build-input order). Build-side and join-order selection live
 // one layer up (src/opt/join_planner.h, applied by core/query_runner.cc),
@@ -317,30 +320,54 @@ size_t EstimateRowsBytes(const std::vector<Row>& rows);
 std::vector<size_t> EstimateBatchRowBytes(
     const std::vector<ColumnBatch>& batches);
 
-/// Hash aggregation. With empty `group_cols`, emits one global row. Output
-/// row layout: group values then one value per AggSpec.
+/// Counters HashAggregate fills in; the query runner reports them as
+/// QueryExecInfo::agg.
+struct AggStats {
+  size_t rows_in = 0;     // active input rows absorbed
+  size_t groups_out = 0;  // output groups (0 for a global aggregate over
+                          // no rows, which still emits its one row)
+  size_t workers = 1;     // partial tables (1 = serial)
+  double seconds = 0;     // wall time inside the operator
+};
+
+/// Hash aggregation over one typed group table (DESIGN.md §§7, 12). With
+/// empty `group_cols`, emits one global row. Output row layout: group values
+/// then one value per AggSpec. Groups come out in first-seen input order.
+/// NULL group keys form one group. Every function but COUNT(*) (column -1)
+/// skips NULL inputs: COUNT(col) counts non-NULL values, AVG divides by
+/// them, and SUM/MIN/MAX/AVG of a group with none is NULL. SUM and AVG
+/// accumulate in double in input order; MIN/MAX keep the input's type.
+///
+/// The row overloads transpose just the group and aggregate columns into
+/// typed batches and run the same table. Each column's type is that of its
+/// first non-NULL value; a column mixing int64 and double widens to double
+/// (a string among numbers breaks schema typing and throws, as it does in
+/// the column store).
 std::vector<Row> HashAggregate(const std::vector<Row>& rows,
                                const std::vector<int>& group_cols,
                                const std::vector<AggSpec>& aggs);
 
-/// Parallel variant: workers build partial hash tables over disjoint row
-/// ranges; a final single-threaded combine merges them (group output order
-/// is unspecified, as with the serial variant).
+/// Parallel variant: workers transpose contiguous row ranges, then
+/// aggregate as the batch overload below. Groups keep first-seen order;
+/// SUM/AVG may differ from the serial result only by floating-point
+/// rounding.
 std::vector<Row> HashAggregate(const std::vector<Row>& rows,
                                const std::vector<int>& group_cols,
                                const std::vector<AggSpec>& aggs,
-                               const ExecContext& exec);
+                               const ExecContext& exec,
+                               AggStats* stats = nullptr);
 
 /// Batch aggregation: groups and aggregates directly over column batches
-/// under their selection vectors — no row materialization. Group hashing
-/// and aggregate-state updates use the typed hash/compare primitives, which
-/// match the Value-based ones bit for bit, so the output rows equal
-/// HashAggregate(BatchesToRows(batches), ...) exactly (same unspecified
-/// group order semantics). Parallel over whole batches when exec has a pool.
+/// under their selection vectors — no row materialization and no Value per
+/// row. Serially, the output equals HashAggregate(BatchesToRows(batches),
+/// ...) value for value. With a pool, each worker absorbs a contiguous
+/// range of whole batches into a partial table; partials merge in range
+/// order.
 std::vector<Row> HashAggregate(const std::vector<ColumnBatch>& batches,
                                const std::vector<int>& group_cols,
                                const std::vector<AggSpec>& aggs,
-                               const ExecContext& exec);
+                               const ExecContext& exec,
+                               AggStats* stats = nullptr);
 
 /// Sorts by `col` (ascending unless `desc`), keeps first `limit` rows
 /// (limit == 0 means all).

@@ -59,41 +59,6 @@ int Value::Compare(const Value& other) const {
   return c < 0 ? -1 : (c > 0 ? 1 : 0);
 }
 
-namespace {
-
-// FNV-1a over the canonical bytes.
-uint64_t FnvBytes(const void* data, size_t n, uint64_t h) {
-  const auto* p = static_cast<const uint8_t*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-constexpr uint64_t kFnvSeed = 14695981039346656037ULL;
-
-}  // namespace
-
-uint64_t HashInt64(int64_t v) { return FnvBytes(&v, 8, kFnvSeed ^ 0x11); }
-
-uint64_t HashDouble(double v) {
-  // Hash doubles that equal integers identically to the integer to keep
-  // join keys consistent across numeric types. The range guard keeps the
-  // int64 cast defined; out-of-range doubles cannot equal any int64.
-  if (v >= -9223372036854775808.0 && v < 9223372036854775808.0) {
-    const auto as_int = static_cast<int64_t>(v);
-    if (static_cast<double>(as_int) == v) return HashInt64(as_int);
-  }
-  return FnvBytes(&v, 8, kFnvSeed ^ 0x22);
-}
-
-uint64_t HashString(const std::string& s) {
-  return FnvBytes(s.data(), s.size(), kFnvSeed ^ 0x33);
-}
-
-uint64_t HashNullValue() { return kFnvSeed; }
-
 uint64_t Value::Hash() const {
   if (is_null()) return HashNullValue();
   if (is_int64()) return HashInt64(AsInt64());

@@ -86,14 +86,46 @@ class Value {
   std::variant<std::monostate, int64_t, double, std::string> v_;
 };
 
+namespace detail {
+
+constexpr uint64_t kFnvSeed = 14695981039346656037ULL;
+
+/// FNV-1a over the canonical bytes.
+inline uint64_t FnvBytes(const void* data, size_t n, uint64_t h) {
+  const auto* p = static_cast<const uint8_t*>(data);
+  for (size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+}  // namespace detail
+
 /// Typed hash primitives. Each returns exactly what Value::Hash() returns
 /// for the same scalar, so vectorized key extraction and batch aggregation
 /// can hash without boxing a Value. A double equal to an integer hashes as
-/// that integer (join keys stay consistent across numeric types).
-uint64_t HashInt64(int64_t v);
-uint64_t HashDouble(double v);
-uint64_t HashString(const std::string& s);
-uint64_t HashNullValue();
+/// that integer (join keys stay consistent across numeric types). Inline so
+/// the per-row loops of those operators unroll them.
+inline uint64_t HashInt64(int64_t v) {
+  return detail::FnvBytes(&v, 8, detail::kFnvSeed ^ 0x11);
+}
+
+inline uint64_t HashDouble(double v) {
+  // The range guard keeps the int64 cast defined; out-of-range doubles
+  // cannot equal any int64.
+  if (v >= -9223372036854775808.0 && v < 9223372036854775808.0) {
+    const auto as_int = static_cast<int64_t>(v);
+    if (static_cast<double>(as_int) == v) return HashInt64(as_int);
+  }
+  return detail::FnvBytes(&v, 8, detail::kFnvSeed ^ 0x22);
+}
+
+inline uint64_t HashString(const std::string& s) {
+  return detail::FnvBytes(s.data(), s.size(), detail::kFnvSeed ^ 0x33);
+}
+
+inline uint64_t HashNullValue() { return detail::kFnvSeed; }
 
 }  // namespace htap
 

@@ -202,15 +202,10 @@ TEST_F(ParallelScanTest, ParallelAggregateMatchesSerial) {
                                      AggSpec::Avg(1, "avg")};
   for (const std::vector<int>& groups :
        {std::vector<int>{}, std::vector<int>{2}, std::vector<int>{1, 2}}) {
-    auto serial = HashAggregate(rows, groups, aggs);
-    auto par = HashAggregate(rows, groups, aggs, Par());
-    // Group output order is unspecified (hash-table order); sort to compare.
-    auto less = [](const Row& a, const Row& b) {
-      return a.ToString() < b.ToString();
-    };
-    std::sort(serial.begin(), serial.end(), less);
-    std::sort(par.begin(), par.end(), less);
-    EXPECT_EQ(serial, par);
+    // Groups come out in first-seen order at any worker count; the sums
+    // here are of integers, so they match exactly too.
+    EXPECT_EQ(HashAggregate(rows, groups, aggs, Par()),
+              HashAggregate(rows, groups, aggs));
   }
   // Empty input: global aggregate still yields its one row in parallel mode.
   const auto empty =

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
 #include "core/database.h"
 #include "sql/sql.h"
 
@@ -317,6 +319,91 @@ TEST_F(SqlBinderTest, DeleteAllThenCountIsZero) {
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res->rows[0].Get(0).AsInt64(), 0);
 }
+
+// COUNT(col) and AVG(col) skip NULL inputs while COUNT(*) counts rows — on
+// every access path, before and after the delta merges into the column
+// store.
+class SqlNullAggregateTest
+    : public ::testing::TestWithParam<ArchitectureKind> {
+ protected:
+  void SetUp() override {
+    char tmpl[] = "/tmp/htap_sqlnull_XXXXXX";
+    dir_ = mkdtemp(tmpl);
+    DatabaseOptions opts;
+    opts.architecture = GetParam();
+    opts.data_dir = dir_;
+    opts.background_sync = false;
+    db_ = std::move(*Database::Open(opts));
+    ASSERT_TRUE(db_->ExecuteSql("CREATE TABLE t (id INT64 PRIMARY KEY, "
+                                "g STRING, x INT64)")
+                    .ok());
+    ASSERT_TRUE(db_->ExecuteSql("INSERT INTO t VALUES (1, 'a', 10), "
+                                "(2, 'a', NULL), (3, 'a', 20), "
+                                "(4, 'b', NULL), (5, 'b', NULL), (6, 'c', 7)")
+                    .ok());
+  }
+
+  void TearDown() override {
+    db_.reset();
+    std::system(("rm -rf " + dir_).c_str());
+  }
+
+  static void ExpectAnswer(const std::vector<Row>& rows) {
+    ASSERT_EQ(rows.size(), 3u);
+    EXPECT_EQ(rows[0], (Row{Value("a"), Value(int64_t{2}), Value(int64_t{3}),
+                            Value(15.0)}));
+    EXPECT_EQ(rows[1].Get(1).AsInt64(), 0);
+    EXPECT_EQ(rows[1].Get(2).AsInt64(), 2);
+    EXPECT_TRUE(rows[1].Get(3).is_null());
+    EXPECT_EQ(rows[2], (Row{Value("c"), Value(int64_t{1}), Value(int64_t{1}),
+                            Value(7.0)}));
+  }
+
+  std::string dir_;
+  std::unique_ptr<Database> db_;
+};
+
+TEST_P(SqlNullAggregateTest, CountAndAvgSkipNullsOnEveryPath) {
+  QueryPlan plan;
+  plan.table = "t";
+  plan.group_by = {1};
+  plan.aggs = {AggSpec{AggSpec::Fn::kCount, 2, "cx"}, AggSpec::Count("n"),
+               AggSpec::Avg(2, "ax")};
+  plan.order_by = 0;
+  for (bool merged : {false, true}) {
+    if (merged) {
+      ASSERT_TRUE(db_->ForceSyncAll().ok());
+    }
+    QueryExecInfo info;
+    auto sql = db_->ExecuteSql(
+        "SELECT g, COUNT(x) AS cx, COUNT(*) AS n, AVG(x) AS ax FROM t "
+        "GROUP BY g ORDER BY g",
+        &info);
+    ASSERT_TRUE(sql.ok()) << sql.status().ToString();
+    ExpectAnswer(sql->rows);
+    EXPECT_EQ(info.agg.rows_in, 6u);
+    EXPECT_EQ(info.agg.groups_out, 3u);
+    for (PathHint path : {PathHint::kForceRow, PathHint::kForceColumn}) {
+      plan.path = path;
+      auto res = db_->Query(plan);
+      ASSERT_TRUE(res.ok()) << res.status().ToString();
+      ExpectAnswer(res->rows);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Architectures, SqlNullAggregateTest,
+    ::testing::Values(ArchitectureKind::kRowPlusInMemoryColumn,
+                      ArchitectureKind::kDiskRowPlusDistributedColumn,
+                      ArchitectureKind::kColumnPlusDeltaRow),
+    [](const ::testing::TestParamInfo<ArchitectureKind>& info) {
+      switch (info.param) {
+        case ArchitectureKind::kRowPlusInMemoryColumn: return "a";
+        case ArchitectureKind::kDiskRowPlusDistributedColumn: return "c";
+        default: return "d";
+      }
+    });
 
 }  // namespace
 }  // namespace htap
