@@ -187,7 +187,7 @@ int main() {
       }
     }
   }
-  InMemoryDeltaStore delta;
+  InMemoryDeltaStore delta(BenchSchema());
   for (Key id = 0; id < 2000; ++id) {
     DeltaEntry e;
     e.op = ChangeOp::kUpdate;

@@ -229,7 +229,7 @@ void RunDeltaSweep(size_t main_rows, int reps) {
   PrintRule(72);
   for (size_t entries : {size_t{0}, size_t{1000}, size_t{10000},
                          size_t{50000}}) {
-    InMemoryDeltaStore delta;
+    InMemoryDeltaStore delta(schema);
     Random rng(entries + 1);
     for (size_t i = 0; i < entries; ++i) {
       DeltaEntry e;

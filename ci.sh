@@ -12,9 +12,11 @@
 #            checker, including the lock_rank death tests
 #   asan   — ASan+UBSan over the memory-heavy executor/aggregate/join/spill
 #            tests,
-#            the sync/delta tests (the scan's delta overlay and the merge's
-#            drain/apply), and the EBR/OLC concurrency tests
-#   tsan   — TSan over the concurrency tests (zero suppressions)
+#            the sync/delta tests (the scan's delta overlay, the merge's
+#            drain/apply and its typed gather), the typed stats path in
+#            optimizer_test, and the EBR/OLC concurrency tests
+#   tsan   — TSan over the concurrency tests (zero suppressions), including
+#            delta_test's chunk append racing scan and drain
 #   static — clang thread-safety build (-DHTAP_THREAD_SAFETY=ON, -Werror)
 #            — skipped with a notice when clang++ is not installed
 #   tidy   — clang-tidy over every first-party TU — skipped with a notice
@@ -148,7 +150,8 @@ suite_asan() {
                     parallel_join_test
                     grace_join_test columnar_test vectorized_exec_test
                     vectorized_join_test encoding_property_test
-                    sync_test delta_test
+                    sync_test delta_test merge_equivalence_test
+                    optimizer_test
                     thread_safety_regression_test
                     ebr_test tp_scaling_test
                     sim_test raft_test dist_db_test)
@@ -164,7 +167,7 @@ suite_tsan() {
   local TSAN_TESTS=(aggregate_test parallel_scan_test parallel_join_test
                     grace_join_test
                     columnar_test executor_test common_test sync_test
-                    scheduler_test vectorized_exec_test vectorized_join_test
+                    delta_test scheduler_test vectorized_exec_test vectorized_join_test
                     thread_safety_regression_test
                     ebr_test tp_scaling_test
                     sim_test raft_test dist_db_test)

@@ -9,37 +9,49 @@ void ColumnTable::EnableCompressionAdvisor(bool on) {
   advise_encodings_ = on;
 }
 
+std::vector<ColumnVector> RowsToColumns(const Schema& schema,
+                                        const std::vector<Row>& rows) {
+  std::vector<ColumnVector> columns;
+  columns.reserve(schema.num_columns());
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    ColumnVector& col = columns.emplace_back(schema.column(c).type);
+    col.Reserve(rows.size());
+    for (const Row& r : rows) col.AppendValue(r.Get(c));
+  }
+  return columns;
+}
+
 void ColumnTable::AppendBatch(const std::vector<Row>& rows, CSN up_to_csn) {
   if (!rows.empty()) {
     WriteGuard g(latch_);
-    AppendBatchLocked(rows);
+    AppendColumnsLocked(RowsToColumns(schema_, rows));
   }
   // order: release — freshness probes read merged_csn_ with acquire outside
   // the latch; the merged rows must be visible before the watermark.
   merged_csn_.store(up_to_csn, std::memory_order_release);
 }
 
-void ColumnTable::AppendBatchLocked(const std::vector<Row>& rows) {
+void ColumnTable::AppendColumnsLocked(
+    const std::vector<ColumnVector>& columns) {
+  const size_t n = columns.empty() ? 0 : columns[0].size();
+  if (n == 0) return;
+  const std::vector<int64_t>& keys =
+      columns[static_cast<size_t>(schema_.pk_index())].ints();
   // Updates: delete-mark existing positions first.
-  for (const Row& r : rows) {
-    const Key key = r.GetKey(schema_);
-    const auto it = key_index_.find(key);
+  for (size_t i = 0; i < n; ++i) {
+    const auto it = key_index_.find(keys[i]);
     if (it != key_index_.end()) {
       groups_[it->second.first]->deleted.Set(it->second.second);
     }
   }
 
   auto group = std::make_unique<RowGroup>();
-  group->num_rows = rows.size();
-  group->keys.reserve(rows.size());
-  for (const Row& r : rows) group->keys.push_back(r.GetKey(schema_));
-  group->deleted.Resize(rows.size());
+  group->num_rows = n;
+  group->keys.assign(keys.begin(), keys.begin() + static_cast<long>(n));
+  group->deleted.Resize(n);
 
-  group->columns.reserve(schema_.num_columns());
-  for (size_t c = 0; c < schema_.num_columns(); ++c) {
-    ColumnVector vec(schema_.column(c).type);
-    vec.Reserve(rows.size());
-    for (const Row& r : rows) vec.AppendValue(r.Get(c));
+  group->columns.reserve(columns.size());
+  for (const ColumnVector& vec : columns) {
     group->columns.push_back(
         advise_encodings_
             ? Segment::BuildWithEncoding(vec, AdviseEncoding(vec).chosen)
@@ -48,7 +60,7 @@ void ColumnTable::AppendBatchLocked(const std::vector<Row>& rows) {
 
   // A key repeated within the batch is an update of its earlier copy.
   const uint32_t gidx = static_cast<uint32_t>(groups_.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
     const auto pos = std::make_pair(gidx, static_cast<uint32_t>(i));
     const auto [it, fresh] = key_index_.try_emplace(group->keys[i], pos);
     if (!fresh) {
@@ -78,9 +90,10 @@ bool ColumnTable::DeleteKeyLocked(Key key) {
 }
 
 void ColumnTable::ApplyLocked(const std::vector<Key>& deletes,
-                              const std::vector<Row>& rows, CSN up_to_csn) {
+                              const std::vector<ColumnVector>& columns,
+                              CSN up_to_csn) {
   for (Key k : deletes) DeleteKeyLocked(k);
-  if (!rows.empty()) AppendBatchLocked(rows);
+  AppendColumnsLocked(columns);
   // order: release — as AppendBatch.
   merged_csn_.store(up_to_csn, std::memory_order_release);
 }
@@ -102,19 +115,20 @@ size_t ColumnTable::Compact() {
   size_t before = 0, after = 0;
   for (auto& gp : groups_) before += gp->MemoryBytes();
 
-  // Gather all live rows, rebuild as a fresh group list.
-  std::vector<Row> live;
+  // Gather all live cells column by column, rebuild as a fresh group list.
+  std::vector<ColumnVector> live;
+  for (size_t c = 0; c < schema_.num_columns(); ++c)
+    live.emplace_back(schema_.column(c).type);
   for (const auto& gp : groups_) {
-    for (size_t i = 0; i < gp->num_rows; ++i) {
-      if (gp->deleted.Test(i)) continue;
-      Row r;
-      for (const auto& col : gp->columns) r.Append(col.Get(i));
-      live.push_back(std::move(r));
+    for (size_t c = 0; c < gp->columns.size(); ++c) {
+      const ColumnVector decoded = gp->columns[c].Decode();
+      for (size_t i = 0; i < gp->num_rows; ++i)
+        if (!gp->deleted.Test(i)) live[c].AppendFrom(decoded, i);
     }
   }
   groups_.clear();
   key_index_.clear();
-  if (!live.empty()) AppendBatchLocked(live);
+  AppendColumnsLocked(live);
   for (auto& gp : groups_) after += gp->MemoryBytes();
   return before > after ? before - after : 0;
 }

@@ -44,6 +44,10 @@ struct RowGroup {
   }
 };
 
+/// Transposes rows into one typed vector per schema column.
+std::vector<ColumnVector> RowsToColumns(const Schema& schema,
+                                        const std::vector<Row>& rows);
+
 class ColumnTable {
  public:
   explicit ColumnTable(Schema schema) : schema_(std::move(schema)) {}
@@ -52,10 +56,10 @@ class ColumnTable {
 
   // ---- Sync-pipeline write API (single writer; scans may run concurrently)
 
-  /// Appends a batch of rows as one new row group. Rows whose key already
-  /// exists — in the table or earlier in the same batch — are treated as
-  /// updates: the old position is delete-marked, so every key has at most
-  /// one live position.
+  /// Appends a batch of rows as one new row group (transposed into typed
+  /// columns first). Rows whose key already exists — in the table or
+  /// earlier in the same batch — are treated as updates: the old position
+  /// is delete-marked, so every key has at most one live position.
   void AppendBatch(const std::vector<Row>& rows, CSN up_to_csn);
 
   /// Positionally delete-marks the row with this key. Returns false if the
@@ -63,12 +67,13 @@ class ColumnTable {
   bool DeleteKey(Key key, CSN csn);
 
   /// One merged batch in a single hold of the write latch, which the caller
-  /// already has: delete-marks `deletes`, appends `rows` as AppendBatch
-  /// does, and advances merged_csn to `up_to_csn`. The sync pipeline drains
-  /// its delta under the same hold, so no scan sees the drained entries in
-  /// neither the delta nor the main.
+  /// already has: delete-marks `deletes`, appends `columns` (one typed
+  /// vector per schema column, equal lengths) as one row group the way
+  /// AppendBatch does, and advances merged_csn to `up_to_csn`. The sync
+  /// pipeline drains its delta under the same hold, so no scan sees the
+  /// drained entries in neither the delta nor the main.
   void ApplyLocked(const std::vector<Key>& deletes,
-                   const std::vector<Row>& rows, CSN up_to_csn)
+                   const std::vector<ColumnVector>& columns, CSN up_to_csn)
       REQUIRES(latch_);
 
   /// Drops all data (rebuild-from-primary begins with this).
@@ -136,7 +141,8 @@ class ColumnTable {
   RWLatch& latch() const RETURN_CAPABILITY(latch_) { return latch_; }
 
  private:
-  void AppendBatchLocked(const std::vector<Row>& rows) REQUIRES(latch_);
+  void AppendColumnsLocked(const std::vector<ColumnVector>& columns)
+      REQUIRES(latch_);
   bool DeleteKeyLocked(Key key) REQUIRES(latch_);
 
   const Schema schema_;

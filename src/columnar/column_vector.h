@@ -64,6 +64,30 @@ class ColumnVector {
     }
   }
 
+  /// Appends cell `i` of `src`: a typed copy when the types match, a
+  /// Value conversion (INT64 into DOUBLE) otherwise.
+  void AppendFrom(const ColumnVector& src, size_t i) {
+    if (src.IsNull(i)) {
+      AppendNull();
+    } else if (src.type_ != type_) {
+      AppendValue(src.GetValue(i));
+    } else {
+      switch (type_) {
+        case Type::kInt64: AppendInt64(src.ints()[i]); break;
+        case Type::kDouble: AppendDouble(src.doubles()[i]); break;
+        case Type::kString: AppendString(src.strings()[i]); break;
+      }
+    }
+  }
+
+  /// Keeps the first `n` cells.
+  void Truncate(size_t n) {
+    if (n >= size_) return;
+    std::visit([n](auto& v) { v.resize(n); }, data_);
+    if (nulls_.size() > n) nulls_.Resize(n);
+    size_ = n;
+  }
+
   bool IsNull(size_t i) const { return nulls_.Test(i); }
 
   int64_t GetInt64(size_t i) const { return ints()[i]; }

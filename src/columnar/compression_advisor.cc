@@ -1,7 +1,7 @@
 #include "columnar/compression_advisor.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <string_view>
 
 namespace htap {
 
@@ -35,35 +35,54 @@ SegmentValueStats CollectSegmentStats(const ColumnVector& values) {
   for (size_t i = 0; i < st.rows; ++i)
     if (values.IsNull(i)) ++st.nulls;
 
+  // Distinct counts sort a copy and count the boundaries between equal
+  // runs — no per-value hash-set nodes.
   switch (values.type()) {
     case Type::kInt64: {
       const auto& v = values.ints();
       st.runs = CountRuns(v);
-      std::unordered_set<int64_t> distinct(v.begin(), v.end());
-      st.distinct = distinct.size();
+      std::vector<int64_t> sorted(v);
+      std::sort(sorted.begin(), sorted.end());
+      st.distinct = CountRuns(sorted);
       if (!v.empty()) {
-        const auto [mn, mx] = std::minmax_element(v.begin(), v.end());
-        st.int_min = *mn;
-        st.int_max = *mx;
+        st.int_min = sorted.front();
+        st.int_max = sorted.back();
       }
       break;
     }
     case Type::kDouble: {
       const auto& v = values.doubles();
       st.runs = CountRuns(v);
-      std::unordered_set<double> distinct(v.begin(), v.end());
-      st.distinct = distinct.size();
+      // NaN equals nothing, itself included: each one is distinct. The
+      // rest sort with -0.0 beside 0.0, which compare equal.
+      std::vector<double> sorted;
+      sorted.reserve(v.size());
+      size_t nans = 0;
+      for (double d : v) {
+        if (d != d)
+          ++nans;
+        else
+          sorted.push_back(d);
+      }
+      std::sort(sorted.begin(), sorted.end());
+      st.distinct = CountRuns(sorted) + nans;
       break;
     }
     case Type::kString: {
       const auto& v = values.strings();
       st.runs = CountRuns(v);
-      std::unordered_set<std::string> distinct;
+      std::vector<std::string_view> sorted;
+      sorted.reserve(v.size());
       for (const auto& s : v) {
         st.string_bytes += s.size();
-        if (distinct.insert(s).second) st.distinct_string_bytes += s.size();
+        sorted.emplace_back(s);
       }
-      st.distinct = distinct.size();
+      std::sort(sorted.begin(), sorted.end());
+      for (size_t i = 0; i < sorted.size(); ++i) {
+        if (i > 0 && sorted[i] == sorted[i - 1]) continue;
+        ++st.distinct;
+        st.distinct_string_bytes += sorted[i].size();
+      }
       break;
     }
   }

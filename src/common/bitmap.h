@@ -17,9 +17,12 @@ class Bitmap {
   Bitmap() = default;
   explicit Bitmap(size_t nbits) { Resize(nbits); }
 
+  /// Grows with zero bits or truncates; bits past a truncation point read
+  /// as 0 when the bitmap grows again.
   void Resize(size_t nbits) {
     nbits_ = nbits;
     words_.resize((nbits + 63) / 64, 0);
+    if ((nbits & 63) != 0) words_.back() &= (uint64_t{1} << (nbits & 63)) - 1;
   }
 
   size_t size() const { return nbits_; }

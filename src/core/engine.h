@@ -13,6 +13,7 @@
 #include "common/status.h"
 #include "core/plan.h"
 #include "sim/dist_db.h"
+#include "sync/sync.h"
 #include "txn/transaction.h"
 #include "types/row.h"
 #include "types/schema.h"
@@ -70,6 +71,9 @@ struct EngineStats {
   uint64_t buffer_pool_hits = 0;    // architecture (c)
   uint64_t buffer_pool_misses = 0;  // architecture (c)
   uint64_t sim_messages = 0;        // architecture (b)
+  /// Merge time by stage, summed across the tables of the engines that
+  /// merge through a DataSynchronizer (architectures a and d).
+  SyncStageTimes sync_stages;
 };
 
 class HtapEngine {

@@ -95,11 +95,14 @@ Status DeltaMainHtapEngine::Read(const TableInfo& tbl, Key key, Row* out) {
 }
 
 void DeltaMainHtapEngine::OnCommit(const std::vector<ChangeEvent>& events) {
-  // The TP commit path pays the L1 append (and occasionally the L1->L2
-  // dictionary-encoding spill) — the cost behind Table 1's "Low TP
-  // scalability" for this architecture.
+  // The TP commit path appends typed cells into the open L1 chunk; the
+  // L1->L2 seal only closes that chunk, so no row-to-column conversion
+  // runs here.
   MutexLock lk(&tables_mu_);
-  for (auto& [tid, ts] : tables_) ts->delta->AppendBatch(events, tid);
+  ForEachTableBatch(events, [&](uint32_t tid, TableEvents table_events) {
+    const auto it = tables_.find(tid);
+    if (it != tables_.end()) it->second->delta->AppendBatch(table_events);
+  });
 }
 
 L1L2DeltaStore* DeltaMainHtapEngine::delta(uint32_t table_id) {
@@ -207,6 +210,7 @@ EngineStats DeltaMainHtapEngine::Stats() {
     const SyncStats ss = ts->sync->stats();
     s.merges += ss.merges;
     s.entries_merged += ss.entries_merged;
+    s.sync_stages.Add(ss.stages);
     s.column_store_bytes += ts->main->MemoryBytes();
     s.delta_bytes += ts->delta->MemoryBytes();
     s.column_encodings.Merge(ts->main->EncodingStats());

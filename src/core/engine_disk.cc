@@ -71,8 +71,9 @@ Predicate RemapPredicate(const Predicate& pred,
   return Predicate::True();
 }
 
-/// Wraps a full-row delta so its entries appear in the IMCS's projected
-/// layout during the delta+column union.
+/// Wraps a full-row delta so its chunk ranges appear in the IMCS's
+/// projected layout during the delta+column union: each slice picks the
+/// loaded columns' vectors, nothing is copied.
 class ProjectingDeltaReader : public DeltaReader {
  public:
   ProjectingDeltaReader(const InMemoryDeltaStore* inner,
@@ -80,15 +81,12 @@ class ProjectingDeltaReader : public DeltaReader {
       : inner_(inner), loaded_(std::move(loaded)) {}
 
   void ScanVisible(CSN snapshot,
-                   const std::function<void(const DeltaEntry&)>& visit)
-      const override {
-    inner_->ScanVisible(snapshot, [&](const DeltaEntry& e) {
-      DeltaEntry proj;
-      proj.op = e.op;
-      proj.key = e.key;
-      proj.csn = e.csn;
-      if (e.op != ChangeOp::kDelete)
-        for (int c : loaded_) proj.row.Append(e.row.Get(static_cast<size_t>(c)));
+                   const DeltaSliceVisitor& visit) const override {
+    inner_->ScanVisible(snapshot, [&](const DeltaSlice& s) {
+      DeltaSlice proj{s.chunk, s.begin, s.end, {}};
+      proj.columns.reserve(loaded_.size());
+      for (int c : loaded_)
+        proj.columns.push_back(s.columns[static_cast<size_t>(c)]);
       visit(proj);
     });
   }
@@ -125,7 +123,7 @@ Status DiskHtapEngine::CreateTable(const TableInfo& info) {
                                             info.schema,
                                             options_.buffer_pool_pages);
   HTAP_RETURN_NOT_OK(ts->heap->Open());
-  ts->delta = std::make_unique<InMemoryDeltaStore>();
+  ts->delta = std::make_unique<InMemoryDeltaStore>(info.schema);
   // Start with every column loaded; RefreshColumnSelection applies the
   // advisor + budget once a workload has been observed.
   for (size_t c = 0; c < info.schema.num_columns(); ++c)
@@ -170,14 +168,10 @@ void DiskHtapEngine::OnCommit(const std::vector<ChangeEvent>& events) {
     else
       it->second->heap->Put(ev.row);
   }
-  for (auto& [tid, ts] : tables_) ts->delta->AppendBatch(events, tid);
-}
-
-Row DiskHtapEngine::ProjectToLoaded(const std::vector<int>& loaded,
-                                    const Row& row) {
-  Row out;
-  for (int c : loaded) out.Append(row.Get(static_cast<size_t>(c)));
-  return out;
+  ForEachTableBatch(events, [&](uint32_t tid, TableEvents table_events) {
+    const auto it = tables_.find(tid);
+    if (it != tables_.end()) it->second->delta->AppendBatch(table_events);
+  });
 }
 
 Status DiskHtapEngine::SyncImcs(TableState* ts, CSN target,
@@ -201,19 +195,16 @@ Status DiskHtapEngine::SyncImcs(TableState* ts, CSN target,
   ColumnTable* const table = imcs.get();
   {
     WriteGuard g(table->latch());
-    auto entries = ts->delta->DrainUpTo(target);
-    std::vector<DeltaEntry> projected;
-    projected.reserve(entries.size());
-    for (DeltaEntry& e : entries) {
-      DeltaEntry p;
-      p.op = e.op;
-      p.key = e.key;
-      p.csn = e.csn;
-      if (e.op != ChangeOp::kDelete) p.row = ProjectToLoaded(loaded, e.row);
-      projected.push_back(std::move(p));
+    std::vector<DeltaChunk> chunks = ts->delta->DrainUpTo(target);
+    // Project to the loaded columns by picking their vectors.
+    for (DeltaChunk& c : chunks) {
+      std::vector<ColumnVector> picked;
+      picked.reserve(loaded.size());
+      for (int col : loaded)
+        picked.push_back(std::move(c.columns[static_cast<size_t>(col)]));
+      c.columns = std::move(picked);
     }
-    const FoldedEntries folded = FoldEntries(projected);
-    table->ApplyLocked(folded.deletes, folded.rows, target);
+    MergeChunksLocked(table, chunks, target);
   }
   if (imcs_out != nullptr) *imcs_out = std::move(imcs);
   if (loaded_out != nullptr) *loaded_out = std::move(loaded);
@@ -273,12 +264,19 @@ Result<ColumnAdvisor::Selection> DiskHtapEngine::RefreshColumnSelection(
   auto imcs = std::make_shared<ColumnTable>(tbl.schema.Project(sel.columns));
   if (options_.compression_advisor) imcs->EnableCompressionAdvisor(true);
   ts->delta->DrainUpTo(kMaxCSN);  // heap already reflects these
-  std::vector<Row> rows;
+  // The heap rows go straight into the loaded columns' vectors.
+  std::vector<ColumnVector> columns;
+  for (size_t c = 0; c < sel.columns.size(); ++c)
+    columns.emplace_back(imcs->schema().column(c).type);
   HTAP_RETURN_NOT_OK(ts->heap->Scan([&](Key, const Row& r) {
-    rows.push_back(ProjectToLoaded(sel.columns, r));
+    for (size_t c = 0; c < sel.columns.size(); ++c)
+      columns[c].AppendValue(r.Get(static_cast<size_t>(sel.columns[c])));
     return true;
   }));
-  imcs->AppendBatch(rows, layer_.txn_mgr()->LastCommittedCsn());
+  {
+    WriteGuard g(imcs->latch());
+    imcs->ApplyLocked({}, columns, layer_.txn_mgr()->LastCommittedCsn());
+  }
   {
     MutexLock lk(&tables_mu_);
     ts->loaded = sel.columns;

@@ -40,8 +40,7 @@ std::unique_ptr<TxnContext> DistributedHtapEngine::Begin() {
 
 Status DistributedHtapEngine::Insert(TxnContext* t, const TableInfo& tbl,
                                      const Row& r) {
-  if (r.size() != tbl.schema.num_columns())
-    return Status::InvalidArgument("row arity mismatch");
+  HTAP_RETURN_NOT_OK(CheckRow(tbl.schema, r));
   t->dist_writes.push_back(
       sim::WriteOp{tbl.id, ChangeOp::kInsert, r.GetKey(tbl.schema), r});
   return Status::OK();
@@ -49,8 +48,7 @@ Status DistributedHtapEngine::Insert(TxnContext* t, const TableInfo& tbl,
 
 Status DistributedHtapEngine::Update(TxnContext* t, const TableInfo& tbl,
                                      const Row& r) {
-  if (r.size() != tbl.schema.num_columns())
-    return Status::InvalidArgument("row arity mismatch");
+  HTAP_RETURN_NOT_OK(CheckRow(tbl.schema, r));
   t->dist_writes.push_back(
       sim::WriteOp{tbl.id, ChangeOp::kUpdate, r.GetKey(tbl.schema), r});
   return Status::OK();

@@ -69,7 +69,7 @@ Status InMemoryHtapEngine::CreateTable(const TableInfo& info) {
   HTAP_RETURN_NOT_OK(layer_.AddTable(info, wal_.get()));
   auto ts = std::make_unique<TableState>();
   ts->info = info;
-  ts->delta = std::make_unique<InMemoryDeltaStore>();
+  ts->delta = std::make_unique<InMemoryDeltaStore>(info.schema);
   ts->columns = std::make_unique<ColumnTable>(info.schema);
   if (options_.compression_advisor) ts->columns->EnableCompressionAdvisor(true);
   ts->sync = std::make_unique<DataSynchronizer>(
@@ -116,7 +116,10 @@ Status InMemoryHtapEngine::Read(const TableInfo& tbl, Key key, Row* out) {
 
 void InMemoryHtapEngine::OnCommit(const std::vector<ChangeEvent>& events) {
   MutexLock lk(&tables_mu_);
-  for (auto& [tid, ts] : tables_) ts->delta->AppendBatch(events, tid);
+  ForEachTableBatch(events, [&](uint32_t tid, TableEvents table_events) {
+    const auto it = tables_.find(tid);
+    if (it != tables_.end()) it->second->delta->AppendBatch(table_events);
+  });
 }
 
 ColumnTable* InMemoryHtapEngine::column_table(uint32_t table_id) {
@@ -286,6 +289,7 @@ EngineStats InMemoryHtapEngine::Stats() {
     const SyncStats ss = ts->sync->stats();
     s.merges += ss.merges;
     s.entries_merged += ss.entries_merged;
+    s.sync_stages.Add(ss.stages);
     s.column_store_bytes += ts->columns->MemoryBytes();
     s.delta_bytes += ts->delta->MemoryBytes();
     s.column_encodings.Merge(ts->columns->EncodingStats());

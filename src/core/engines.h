@@ -300,7 +300,6 @@ class DiskHtapEngine : public HtapEngine, public ChangeSink {
   Status SyncImcs(TableState* ts, CSN target,
                   std::shared_ptr<ColumnTable>* imcs_out,
                   std::vector<int>* loaded_out);
-  static Row ProjectToLoaded(const std::vector<int>& loaded, const Row& row);
   /// Refreshes the sampled row-store stats if stale (publishing to the
   /// catalog) and returns a copy.
   TableStats RefreshedStats(TableState* ts);

@@ -1,284 +1,345 @@
 #include "delta/delta.h"
 
 #include <algorithm>
+#include <cassert>
+#include <cstring>
 
 namespace htap {
 
 namespace {
 
-size_t EntryBytes(const DeltaEntry& e) {
-  return sizeof(DeltaEntry) + e.row.MemoryBytes();
+std::vector<Type> SchemaTypes(const Schema& schema) {
+  std::vector<Type> types;
+  for (size_t c = 0; c < schema.num_columns(); ++c)
+    types.push_back(schema.column(c).type);
+  return types;
 }
 
-DeltaEntry FromEvent(const ChangeEvent& ev) {
-  return DeltaEntry{ev.op, ev.key, ev.row, ev.csn};
+Status MisfitRow(Key key) {
+  return Status::InvalidArgument("row image for key " + std::to_string(key) +
+                                 " does not fit the delta schema");
+}
+
+/// Index of the first change newer than `csn` (size() if none).
+size_t FirstNewer(const DeltaChunk& c, CSN csn) {
+  if (c.max_csn() <= csn) return c.size();
+  return static_cast<size_t>(
+      std::find_if(c.csns.begin(), c.csns.end(),
+                   [csn](CSN x) { return x > csn; }) -
+      c.csns.begin());
+}
+
+DeltaSlice WholeSlice(const DeltaChunk& c, size_t end) {
+  DeltaSlice s{&c, 0, end, {}};
+  s.columns.reserve(c.columns.size());
+  for (const ColumnVector& col : c.columns) s.columns.push_back(&col);
+  return s;
+}
+
+// ---- The log-delta file format: one chunk, column by column --------------
+
+void PutRaw(std::string* out, const void* data, size_t n) {
+  out->append(static_cast<const char*>(data), n);
+}
+
+void EncodeChunk(const DeltaChunk& c, std::string* out) {
+  const size_t n = c.size();
+  Value(static_cast<int64_t>(n)).EncodeTo(out);
+  Value(static_cast<int64_t>(c.columns.size())).EncodeTo(out);
+  PutRaw(out, c.ops.data(), n * sizeof(ChangeOp));
+  PutRaw(out, c.keys.data(), n * sizeof(Key));
+  PutRaw(out, c.csns.data(), n * sizeof(CSN));
+  for (const ColumnVector& col : c.columns) {
+    out->push_back(static_cast<char>(col.type()));
+    for (size_t i = 0; i < n; ++i) col.GetValue(i).EncodeTo(out);
+  }
+}
+
+/// Decodes into `out`, whose columns already carry the store's types.
+bool DecodeChunk(const std::string& in, DeltaChunk* out) {
+  size_t pos = 0;
+  const auto take = [&](void* dst, size_t bytes) {
+    if (pos + bytes > in.size()) return false;
+    std::memcpy(dst, in.data() + pos, bytes);
+    pos += bytes;
+    return true;
+  };
+  Value n, ncols;
+  if (!Value::DecodeFrom(in, &pos, &n) || !n.is_int64() ||
+      !Value::DecodeFrom(in, &pos, &ncols) || !ncols.is_int64() ||
+      static_cast<size_t>(ncols.AsInt64()) != out->columns.size())
+    return false;
+  const auto rows = static_cast<size_t>(n.AsInt64());
+  out->ops.resize(rows);
+  out->keys.resize(rows);
+  out->csns.resize(rows);
+  if (!take(out->ops.data(), rows * sizeof(ChangeOp)) ||
+      !take(out->keys.data(), rows * sizeof(Key)) ||
+      !take(out->csns.data(), rows * sizeof(CSN)))
+    return false;
+  for (ColumnVector& col : out->columns) {
+    uint8_t type;
+    if (!take(&type, 1) || static_cast<Type>(type) != col.type()) return false;
+    col.Reserve(rows);
+    for (size_t i = 0; i < rows; ++i) {
+      Value v;
+      if (!Value::DecodeFrom(in, &pos, &v)) return false;
+      col.AppendValue(v);
+    }
+  }
+  return true;
 }
 
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// InMemoryDeltaStore
+// DeltaChunk
 // ---------------------------------------------------------------------------
 
-void InMemoryDeltaStore::Append(const DeltaEntry& e) {
-  MutexLock lk(&mu_);
-  mem_bytes_ += EntryBytes(e);
-  entries_.push_back(e);
+DeltaChunk::DeltaChunk(const std::vector<Type>& types) {
+  columns.reserve(types.size());
+  for (Type t : types) columns.emplace_back(t);
 }
 
-void InMemoryDeltaStore::AppendBatch(const std::vector<ChangeEvent>& events,
-                                     uint32_t table_id) {
-  MutexLock lk(&mu_);
-  for (const auto& ev : events) {
-    if (ev.table_id != table_id) continue;
-    entries_.push_back(FromEvent(ev));
-    mem_bytes_ += EntryBytes(entries_.back());
+bool DeltaChunk::Append(ChangeOp op, Key key, CSN csn, const Row& row) {
+  if (op != ChangeOp::kDelete) {
+    // Check every cell first, so a misfit leaves no column a cell short.
+    if (row.size() != columns.size()) return false;
+    for (size_t c = 0; c < columns.size(); ++c)
+      if (!FitsColumn(columns[c].type(), row.Get(c))) return false;
+  }
+  ops.push_back(op);
+  keys.push_back(key);
+  csns.push_back(csn);
+  if (op == ChangeOp::kDelete) {
+    for (ColumnVector& col : columns) col.AppendNull();
+  } else {
+    for (size_t c = 0; c < columns.size(); ++c)
+      columns[c].AppendValue(row.Get(c));
+  }
+  return true;
+}
+
+DeltaChunk DeltaChunk::SplitAt(size_t n) {
+  std::vector<Type> types;
+  for (const ColumnVector& col : columns) types.push_back(col.type());
+  DeltaChunk rest(types);
+  const auto from = static_cast<std::ptrdiff_t>(n);
+  rest.ops.assign(ops.begin() + from, ops.end());
+  rest.keys.assign(keys.begin() + from, keys.end());
+  rest.csns.assign(csns.begin() + from, csns.end());
+  for (size_t c = 0; c < columns.size(); ++c) {
+    ColumnVector& col = columns[c];
+    ColumnVector& r = rest.columns[c];
+    r.Reserve(col.size() - n);
+    for (size_t i = n; i < col.size(); ++i) r.AppendFrom(col, i);
+    col.Truncate(n);
+  }
+  ops.resize(n);
+  keys.resize(n);
+  csns.resize(n);
+  return rest;
+}
+
+DeltaEntry DeltaChunk::EntryAt(size_t i) const {
+  DeltaEntry e;
+  e.op = ops[i];
+  e.key = keys[i];
+  e.csn = csns[i];
+  if (e.op != ChangeOp::kDelete)
+    for (const ColumnVector& col : columns) e.row.Append(col.GetValue(i));
+  return e;
+}
+
+size_t DeltaChunk::MemoryBytes() const {
+  size_t b = sizeof(*this) + ops.capacity() * sizeof(ChangeOp) +
+             keys.capacity() * sizeof(Key) + csns.capacity() * sizeof(CSN);
+  for (const ColumnVector& col : columns) b += col.MemoryBytes();
+  return b;
+}
+
+void ForEachTableBatch(
+    const std::vector<ChangeEvent>& events,
+    const std::function<void(uint32_t table_id, TableEvents)>& visit) {
+  std::vector<const ChangeEvent*> order;
+  order.reserve(events.size());
+  for (const ChangeEvent& ev : events) order.push_back(&ev);
+  std::stable_sort(order.begin(), order.end(),
+                   [](const ChangeEvent* a, const ChangeEvent* b) {
+                     return a->table_id < b->table_id;
+                   });
+  for (size_t lo = 0; lo < order.size();) {
+    size_t hi = lo + 1;
+    while (hi < order.size() && order[hi]->table_id == order[lo]->table_id)
+      ++hi;
+    visit(order[lo]->table_id, TableEvents(order.data() + lo, hi - lo));
+    lo = hi;
   }
 }
 
-void InMemoryDeltaStore::ScanVisible(
-    CSN snapshot, const std::function<void(const DeltaEntry&)>& visit) const {
+// ---------------------------------------------------------------------------
+// InMemoryDeltaStore (and L1L2DeltaStore, which is one)
+// ---------------------------------------------------------------------------
+
+InMemoryDeltaStore::InMemoryDeltaStore(const Schema& schema,
+                                       size_t chunk_rows)
+    : types_(SchemaTypes(schema)),
+      chunk_rows_(std::max<size_t>(1, chunk_rows)) {}
+
+Status InMemoryDeltaStore::AppendLocked(ChangeOp op, Key key, CSN csn,
+                                        const Row& row) {
+  if (!tail_open_) {
+    chunks_.emplace_back(types_);
+    tail_open_ = true;
+  }
+  DeltaChunk& tail = chunks_.back();
+  if (!tail.Append(op, key, csn, row)) {
+    if (tail.empty()) {
+      chunks_.pop_back();
+      tail_open_ = false;
+    }
+    return MisfitRow(key);
+  }
+  ++entries_;
+  if (tail.size() >= chunk_rows_) tail_open_ = false;
+  return Status::OK();
+}
+
+Status InMemoryDeltaStore::Append(const DeltaEntry& e) {
   MutexLock lk(&mu_);
-  for (const auto& e : entries_) {
-    if (e.csn > snapshot) break;  // commit order: everything after is newer
-    visit(e);
+  return AppendLocked(e.op, e.key, e.csn, e.row);
+}
+
+Status InMemoryDeltaStore::AppendBatch(TableEvents events) {
+  MutexLock lk(&mu_);
+  Status first;
+  for (const ChangeEvent* ev : events) {
+    Status st = AppendLocked(ev->op, ev->key, ev->csn, ev->row);
+    if (first.ok()) first = std::move(st);
+  }
+  return first;
+}
+
+void InMemoryDeltaStore::Seal() {
+  MutexLock lk(&mu_);
+  tail_open_ = false;
+}
+
+void InMemoryDeltaStore::ScanVisible(CSN snapshot,
+                                     const DeltaSliceVisitor& visit) const {
+  MutexLock lk(&mu_);
+  for (const DeltaChunk& c : chunks_) {
+    const size_t end = FirstNewer(c, snapshot);
+    if (end > 0) visit(WholeSlice(c, end));
+    if (end < c.size()) return;  // commit order: everything after is newer
   }
 }
 
 size_t InMemoryDeltaStore::EntryCount() const {
   MutexLock lk(&mu_);
-  return entries_.size();
+  return entries_;
 }
 
 size_t InMemoryDeltaStore::MemoryBytes() const {
   MutexLock lk(&mu_);
-  return mem_bytes_;
+  size_t b = 0;
+  for (const DeltaChunk& c : chunks_) b += c.MemoryBytes();
+  return b;
 }
 
-std::vector<DeltaEntry> InMemoryDeltaStore::DrainUpTo(CSN csn) {
+std::vector<DeltaChunk> InMemoryDeltaStore::DrainUpTo(CSN csn) {
   MutexLock lk(&mu_);
-  std::vector<DeltaEntry> out;
-  while (!entries_.empty() && entries_.front().csn <= csn) {
-    mem_bytes_ -= std::min(mem_bytes_, EntryBytes(entries_.front()));
-    out.push_back(std::move(entries_.front()));
-    entries_.pop_front();
+  std::vector<DeltaChunk> out;
+  while (!chunks_.empty() && chunks_.front().max_csn() <= csn) {
+    if (chunks_.size() == 1) tail_open_ = false;  // the tail moves out
+    entries_ -= chunks_.front().size();
+    out.push_back(std::move(chunks_.front()));
+    chunks_.pop_front();
+  }
+  if (!chunks_.empty()) {
+    // Only the chunk that straddles `csn` is split; its newer rest stays.
+    DeltaChunk& c = chunks_.front();
+    const size_t n = FirstNewer(c, csn);
+    if (n > 0) {
+      DeltaChunk rest = c.SplitAt(n);
+      entries_ -= n;
+      out.push_back(std::move(c));
+      c = std::move(rest);
+    }
   }
   return out;
 }
 
 CSN InMemoryDeltaStore::max_csn() const {
   MutexLock lk(&mu_);
-  return entries_.empty() ? 0 : entries_.back().csn;
+  return chunks_.empty() ? 0 : chunks_.back().max_csn();
 }
 
-// ---------------------------------------------------------------------------
-// L1L2DeltaStore
-// ---------------------------------------------------------------------------
-
-L1L2DeltaStore::L1L2DeltaStore(Schema schema, size_t l1_spill_threshold)
-    : schema_(std::move(schema)), l1_spill_threshold_(l1_spill_threshold) {}
-
-void L1L2DeltaStore::Append(const DeltaEntry& e) {
+size_t InMemoryDeltaStore::open_entries() const {
   MutexLock lk(&mu_);
-  l1_.push_back(e);
-  if (l1_.size() >= l1_spill_threshold_) SpillL1Locked();
-}
-
-void L1L2DeltaStore::AppendBatch(const std::vector<ChangeEvent>& events,
-                                 uint32_t table_id) {
-  MutexLock lk(&mu_);
-  for (const auto& ev : events) {
-    if (ev.table_id != table_id) continue;
-    l1_.push_back(FromEvent(ev));
-  }
-  if (l1_.size() >= l1_spill_threshold_) SpillL1Locked();
-}
-
-void L1L2DeltaStore::SpillL1() {
-  MutexLock lk(&mu_);
-  SpillL1Locked();
-}
-
-void L1L2DeltaStore::SpillL1Locked() {
-  if (l1_.empty()) return;
-  L2Chunk chunk;
-  chunk.num_rows = l1_.size();
-  chunk.ops.reserve(l1_.size());
-  chunk.keys.reserve(l1_.size());
-  chunk.csns.reserve(l1_.size());
-  for (size_t c = 0; c < schema_.num_columns(); ++c)
-    chunk.columns.emplace_back(schema_.column(c).type);
-
-  for (const DeltaEntry& e : l1_) {
-    chunk.ops.push_back(e.op);
-    chunk.keys.push_back(e.key);
-    chunk.csns.push_back(e.csn);
-    chunk.max_csn = std::max(chunk.max_csn, e.csn);
-    for (size_t c = 0; c < schema_.num_columns(); ++c) {
-      if (e.op == ChangeOp::kDelete)
-        chunk.columns[c].AppendNull();
-      else
-        chunk.columns[c].AppendValue(e.row.Get(c));
-    }
-  }
-  l1_.clear();
-  l2_.push_back(std::move(chunk));
-}
-
-DeltaEntry L1L2DeltaStore::L2Entry(const L2Chunk& c, size_t i) const {
-  DeltaEntry e;
-  e.op = c.ops[i];
-  e.key = c.keys[i];
-  e.csn = c.csns[i];
-  if (e.op != ChangeOp::kDelete) {
-    for (size_t col = 0; col < c.columns.size(); ++col)
-      e.row.Append(c.columns[col].GetValue(i));
-  }
-  return e;
-}
-
-void L1L2DeltaStore::ScanVisible(
-    CSN snapshot, const std::function<void(const DeltaEntry&)>& visit) const {
-  MutexLock lk(&mu_);
-  // L2 chunks are strictly older than L1 (spill preserves order).
-  for (const auto& chunk : l2_) {
-    for (size_t i = 0; i < chunk.num_rows; ++i) {
-      if (chunk.csns[i] > snapshot) return;
-      visit(L2Entry(chunk, i));
-    }
-  }
-  for (const auto& e : l1_) {
-    if (e.csn > snapshot) return;
-    visit(e);
-  }
-}
-
-size_t L1L2DeltaStore::EntryCount() const {
-  MutexLock lk(&mu_);
-  size_t n = l1_.size();
-  for (const auto& c : l2_) n += c.num_rows;
-  return n;
-}
-
-size_t L1L2DeltaStore::L2Chunk::MemoryBytes() const {
-  size_t b = sizeof(*this) + ops.capacity() + keys.capacity() * 8 +
-             csns.capacity() * 8;
-  for (const auto& col : columns) b += col.MemoryBytes();
-  return b;
-}
-
-size_t L1L2DeltaStore::MemoryBytes() const {
-  MutexLock lk(&mu_);
-  size_t b = 0;
-  for (const auto& e : l1_) b += EntryBytes(e);
-  for (const auto& c : l2_) b += c.MemoryBytes();
-  return b;
-}
-
-std::vector<DeltaEntry> L1L2DeltaStore::DrainUpTo(CSN csn) {
-  MutexLock lk(&mu_);
-  std::vector<DeltaEntry> out;
-  while (!l2_.empty() && l2_.front().max_csn <= csn) {
-    const L2Chunk& c = l2_.front();
-    for (size_t i = 0; i < c.num_rows; ++i) out.push_back(L2Entry(c, i));
-    l2_.pop_front();
-  }
-  // Partial L2 chunk: split it.
-  if (!l2_.empty() && !l2_.front().csns.empty() && l2_.front().csns[0] <= csn) {
-    L2Chunk& c = l2_.front();
-    std::deque<DeltaEntry> keep;
-    for (size_t i = 0; i < c.num_rows; ++i) {
-      DeltaEntry e = L2Entry(c, i);
-      if (e.csn <= csn)
-        out.push_back(std::move(e));
-      else
-        keep.push_back(std::move(e));
-    }
-    l2_.pop_front();
-    for (auto it = keep.rbegin(); it != keep.rend(); ++it)
-      l1_.push_front(std::move(*it));  // demote remainder back to L1
-  }
-  while (!l1_.empty() && l1_.front().csn <= csn) {
-    out.push_back(std::move(l1_.front()));
-    l1_.pop_front();
-  }
-  return out;
-}
-
-size_t L1L2DeltaStore::l1_size() const {
-  MutexLock lk(&mu_);
-  return l1_.size();
-}
-
-size_t L1L2DeltaStore::l2_size() const {
-  MutexLock lk(&mu_);
-  size_t n = 0;
-  for (const auto& c : l2_) n += c.num_rows;
-  return n;
+  return tail_open_ ? chunks_.back().size() : 0;
 }
 
 // ---------------------------------------------------------------------------
 // LogDeltaStore
 // ---------------------------------------------------------------------------
 
-void LogDeltaStore::EncodeEntry(const DeltaEntry& e, std::string* out) {
-  out->push_back(static_cast<char>(e.op));
-  Value(e.key).EncodeTo(out);
-  Value(static_cast<int64_t>(e.csn)).EncodeTo(out);
-  e.row.EncodeTo(out);
+LogDeltaStore::LogDeltaStore(const Schema& schema)
+    : types_(SchemaTypes(schema)) {}
+
+DeltaChunk LogDeltaStore::DecodeFile(const DeltaFile& f) const {
+  DeltaChunk c(types_);
+  const bool ok = DecodeChunk(f.blob, &c);
+  assert(ok && "delta file written by this store");
+  (void)ok;
+  return c;
 }
 
-bool LogDeltaStore::DecodeEntry(const std::string& in, size_t* pos,
-                                DeltaEntry* out) {
-  if (*pos >= in.size()) return false;
-  out->op = static_cast<ChangeOp>(in[(*pos)++]);
-  Value v;
-  if (!Value::DecodeFrom(in, pos, &v) || !v.is_int64()) return false;
-  out->key = v.AsInt64();
-  if (!Value::DecodeFrom(in, pos, &v) || !v.is_int64()) return false;
-  out->csn = static_cast<CSN>(v.AsInt64());
-  return Row::DecodeFrom(in, pos, &out->row);
-}
-
-void LogDeltaStore::AppendFile(const std::vector<DeltaEntry>& entries) {
-  if (entries.empty()) return;
+void LogDeltaStore::AppendChunk(const DeltaChunk& chunk) {
+  if (chunk.empty()) return;
   DeltaFile f;
-  f.count = entries.size();
-  f.min_csn = entries.front().csn;
-  f.max_csn = entries.front().csn;
-  for (const auto& e : entries) {
-    f.min_csn = std::min(f.min_csn, e.csn);
-    f.max_csn = std::max(f.max_csn, e.csn);
-    EncodeEntry(e, &f.blob);
-  }
+  f.count = chunk.size();
+  f.min_csn = *std::min_element(chunk.csns.begin(), chunk.csns.end());
+  f.max_csn = *std::max_element(chunk.csns.begin(), chunk.csns.end());
+  EncodeChunk(chunk, &f.blob);
   MutexLock lk(&mu_);
   const uint64_t seq = file_seq_base_ + files_.size();
   files_.push_back(std::move(f));
-  for (size_t i = 0; i < entries.size(); ++i)
-    key_index_.Insert(entries[i].key, (seq << 32) | i);
+  for (size_t i = 0; i < chunk.size(); ++i)
+    key_index_.Insert(chunk.keys[i], (seq << 32) | i);
 }
 
-void LogDeltaStore::AppendBatch(const std::vector<ChangeEvent>& events,
-                                uint32_t table_id) {
-  std::vector<DeltaEntry> entries;
-  for (const auto& ev : events)
-    if (ev.table_id == table_id) entries.push_back(FromEvent(ev));
-  AppendFile(entries);
+Status LogDeltaStore::AppendFile(const std::vector<DeltaEntry>& entries) {
+  DeltaChunk chunk(types_);
+  Status first;
+  for (const DeltaEntry& e : entries)
+    if (!chunk.Append(e.op, e.key, e.csn, e.row) && first.ok())
+      first = MisfitRow(e.key);
+  AppendChunk(chunk);
+  return first;
 }
 
-void LogDeltaStore::ScanVisible(
-    CSN snapshot, const std::function<void(const DeltaEntry&)>& visit) const {
+Status LogDeltaStore::AppendBatch(TableEvents events) {
+  DeltaChunk chunk(types_);
+  Status first;
+  for (const ChangeEvent* ev : events)
+    if (!chunk.Append(ev->op, ev->key, ev->csn, ev->row) && first.ok())
+      first = MisfitRow(ev->key);
+  AppendChunk(chunk);
+  return first;
+}
+
+void LogDeltaStore::ScanVisible(CSN snapshot,
+                                const DeltaSliceVisitor& visit) const {
   MutexLock lk(&mu_);
   for (const auto& f : files_) {
     if (f.min_csn > snapshot) break;
     // Reads must decode the file — the cost the survey flags for this design.
     bytes_decoded_.fetch_add(f.blob.size(), std::memory_order_relaxed);
-    size_t pos = 0;
-    DeltaEntry e;
-    while (DecodeEntry(f.blob, &pos, &e)) {
-      if (e.csn > snapshot) return;
-      visit(e);
-    }
+    const DeltaChunk c = DecodeFile(f);
+    const size_t end = FirstNewer(c, snapshot);
+    if (end > 0) visit(WholeSlice(c, end));
+    if (end < c.size()) return;
   }
 }
 
@@ -305,27 +366,17 @@ bool LogDeltaStore::LookupLatest(Key key, DeltaEntry* out) const {
   if (seq < file_seq_base_) return false;  // stale index entry: file merged
   const DeltaFile& f = files_[seq - file_seq_base_];
   bytes_decoded_.fetch_add(f.blob.size(), std::memory_order_relaxed);
-  size_t pos = 0;
-  DeltaEntry e;
-  uint32_t i = 0;
-  while (DecodeEntry(f.blob, &pos, &e)) {
-    if (i == idx) {
-      *out = std::move(e);
-      return true;
-    }
-    ++i;
-  }
-  return false;
+  const DeltaChunk c = DecodeFile(f);
+  if (idx >= c.size()) return false;
+  *out = c.EntryAt(idx);
+  return true;
 }
 
-std::vector<DeltaEntry> LogDeltaStore::DrainUpTo(CSN csn) {
+std::vector<DeltaChunk> LogDeltaStore::DrainUpTo(CSN csn) {
   MutexLock lk(&mu_);
-  std::vector<DeltaEntry> out;
+  std::vector<DeltaChunk> out;
   while (!files_.empty() && files_.front().max_csn <= csn) {
-    const DeltaFile& f = files_.front();
-    size_t pos = 0;
-    DeltaEntry e;
-    while (DecodeEntry(f.blob, &pos, &e)) out.push_back(std::move(e));
+    out.push_back(DecodeFile(files_.front()));
     files_.pop_front();
     ++file_seq_base_;
   }

@@ -107,9 +107,16 @@ class RowScanSink {
     }
   }
 
-  /// Stages one delta row image in the next slot.
-  void AppendDelta(const Row& row) {
-    delta_.push_back(ProjectRow(row, projection_));
+  /// Stages delta row `i` of `slice`, projected, in the next slot.
+  void AppendDelta(const DeltaSlice& slice, size_t i) {
+    Row r;
+    if (projection_.empty()) {
+      for (const ColumnVector* col : slice.columns) r.Append(col->GetValue(i));
+    } else {
+      for (int c : projection_)
+        r.Append(slice.columns[static_cast<size_t>(c)]->GetValue(i));
+    }
+    delta_.push_back(std::move(r));
   }
 
   /// Appends the staged delta rows not superseded by a later entry.
@@ -168,14 +175,18 @@ class BatchScanSink {
     }
   }
 
-  void AppendDelta(const Row& row) {
+  /// Gathers delta row `i` of `slice` into the open batch, typed.
+  void AppendDelta(const DeltaSlice& slice, size_t i) {
     if (delta_.empty() ||
         (batch_rows_ != 0 && delta_.back().rows() >= batch_rows_))
       delta_.push_back(MakeBatch(schema_, projection_, batch_rows_));
     std::vector<ColumnVector>& cols = delta_.back().columns;
     for (size_t c = 0; c < cols.size(); ++c)
-      cols[c].AppendValue(row.Get(
-          projection_.empty() ? c : static_cast<size_t>(projection_[c])));
+      cols[c].AppendFrom(
+          *slice.columns[projection_.empty()
+                             ? c
+                             : static_cast<size_t>(projection_[c])],
+          i);
   }
 
   void FinishDelta(const std::vector<uint8_t>& superseded,
@@ -200,9 +211,10 @@ class BatchScanSink {
 };
 
 /// The HTAP scan shared by ScanHtap and ScanHtapBatches (DESIGN.md §7).
-/// Under the table's shared latch, one DeltaReader::ScanVisible pass keeps
-/// the latest visible entry per key and stages each surviving,
-/// predicate-passing one straight into `sink`; an entry replaced by a later
+/// Under the table's shared latch, one DeltaReader::ScanVisible pass over
+/// the delta's chunk ranges keeps the latest visible entry per key and
+/// stages each surviving, predicate-passing one straight into `sink` — the
+/// predicate runs on the typed chunk columns; an entry replaced by a later
 /// one for the same key is marked superseded. Each overridden key then
 /// resolves once, through the table's key index, to the main position it
 /// hides. The group morsels (one per row group, merged in group order)
@@ -233,19 +245,23 @@ std::vector<typename Sink::Out> ScanHtapWith(
   if (delta != nullptr) {
     KeySlotMap keys(delta->EntryCount());  // sized for every staged entry
     size_t entries_read = 0, emitted = 0;
-    delta->ScanVisible(snapshot, [&](const DeltaEntry& e) {
-      ++entries_read;
-      uint32_t& slot = keys.Upsert(e.key);
-      if (slot != KeySlotMap::kNoSlot) {
-        superseded[slot] = 1;
-        --emitted;
+    delta->ScanVisible(snapshot, [&](const DeltaSlice& s) {
+      const DeltaChunk& c = *s.chunk;
+      entries_read += s.end - s.begin;
+      for (size_t i = s.begin; i < s.end; ++i) {
+        uint32_t& slot = keys.Upsert(c.keys[i]);
+        if (slot != KeySlotMap::kNoSlot) {
+          superseded[slot] = 1;
+          --emitted;
+        }
+        slot = KeySlotMap::kNoSlot;
+        if (c.ops[i] == ChangeOp::kDelete || !pred.EvalVectors(s.columns, i))
+          continue;
+        slot = static_cast<uint32_t>(superseded.size());
+        superseded.push_back(0);
+        sink->AppendDelta(s, i);
+        ++emitted;
       }
-      slot = KeySlotMap::kNoSlot;
-      if (e.op == ChangeOp::kDelete || !pred.Eval(e.row)) return;
-      slot = static_cast<uint32_t>(superseded.size());
-      superseded.push_back(0);
-      sink->AppendDelta(e.row);
-      ++emitted;
     });
     st->delta_entries_read = entries_read;
     st->delta_rows_emitted += emitted;

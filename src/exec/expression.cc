@@ -57,9 +57,7 @@ Predicate Predicate::Between(int col, Value lo, Value hi) {
 
 namespace {
 
-bool CompareValues(const Value& lhs, CmpOp op, const Value& rhs) {
-  if (lhs.is_null() || rhs.is_null()) return false;  // SQL NULL semantics
-  const int c = lhs.Compare(rhs);
+bool ApplyCmp(CmpOp op, int c) {
   switch (op) {
     case CmpOp::kEq: return c == 0;
     case CmpOp::kNe: return c != 0;
@@ -71,49 +69,82 @@ bool CompareValues(const Value& lhs, CmpOp op, const Value& rhs) {
   return false;
 }
 
-}  // namespace
+bool CompareValues(const Value& lhs, CmpOp op, const Value& rhs) {
+  if (lhs.is_null() || rhs.is_null()) return false;  // SQL NULL semantics
+  return ApplyCmp(op, lhs.Compare(rhs));
+}
 
-bool Predicate::Eval(const Row& row) const {
-  switch (kind_) {
-    case Kind::kTrue:
-      return true;
-    case Kind::kCompare:
-      return CompareValues(row.Get(static_cast<size_t>(column_)), op_,
-                           literal_);
-    case Kind::kAnd:
-      for (const auto& c : children_)
-        if (!c.Eval(row)) return false;
-      return true;
-    case Kind::kOr:
-      for (const auto& c : children_)
-        if (c.Eval(row)) return true;
-      return false;
-    case Kind::kNot:
-      return !children_[0].Eval(row);
+template <typename T>
+int Cmp3(const T& a, const T& b) {
+  return a < b ? -1 : (b < a ? 1 : 0);
+}
+
+/// CompareValues(col[i], op, lit) without boxing col[i]: the same NULL,
+/// numeric-promotion and numbers-before-strings rules as Value::Compare.
+bool CompareCell(const ColumnVector& col, size_t i, CmpOp op,
+                 const Value& lit) {
+  if (col.IsNull(i) || lit.is_null()) return false;
+  switch (col.type()) {
+    case Type::kInt64: {
+      const int64_t v = col.ints()[i];
+      if (lit.is_int64()) return ApplyCmp(op, Cmp3(v, lit.AsInt64()));
+      if (lit.is_double())
+        return ApplyCmp(op, Cmp3(static_cast<double>(v), lit.AsDouble()));
+      return ApplyCmp(op, -1);
+    }
+    case Type::kDouble:
+      if (lit.is_string()) return ApplyCmp(op, -1);
+      return ApplyCmp(op, Cmp3(col.doubles()[i], lit.AsDouble()));
+    case Type::kString: {
+      if (!lit.is_string()) return ApplyCmp(op, 1);
+      const int c = col.strings()[i].compare(lit.AsString());
+      return ApplyCmp(op, c < 0 ? -1 : (c > 0 ? 1 : 0));
+    }
   }
   return false;
 }
 
-bool Predicate::EvalColumns(const std::vector<Segment>& segments,
-                            size_t i) const {
+}  // namespace
+
+template <typename CompareFn>
+bool Predicate::EvalTree(const CompareFn& compare) const {
   switch (kind_) {
     case Kind::kTrue:
       return true;
     case Kind::kCompare:
-      return CompareValues(segments[static_cast<size_t>(column_)].Get(i), op_,
-                           literal_);
+      return compare(static_cast<size_t>(column_), op_, literal_);
     case Kind::kAnd:
       for (const auto& c : children_)
-        if (!c.EvalColumns(segments, i)) return false;
+        if (!c.EvalTree(compare)) return false;
       return true;
     case Kind::kOr:
       for (const auto& c : children_)
-        if (c.EvalColumns(segments, i)) return true;
+        if (c.EvalTree(compare)) return true;
       return false;
     case Kind::kNot:
-      return !children_[0].EvalColumns(segments, i);
+      return !children_[0].EvalTree(compare);
   }
   return false;
+}
+
+bool Predicate::Eval(const Row& row) const {
+  return EvalTree([&](size_t col, CmpOp op, const Value& lit) {
+    return CompareValues(row.Get(col), op, lit);
+  });
+}
+
+bool Predicate::EvalColumns(const std::vector<Segment>& segments,
+                            size_t i) const {
+  return EvalTree([&](size_t col, CmpOp op, const Value& lit) {
+    return CompareValues(segments[col].Get(i), op, lit);
+  });
+}
+
+bool Predicate::EvalVectors(const std::vector<const ColumnVector*>& columns,
+                            size_t i) const {
+  return EvalTree([&](size_t col, CmpOp op, const Value& lit) {
+    return CompareCell(*columns[col], i, op, lit);
+  });
 }
 
 bool Predicate::CanSkipGroup(const std::vector<Segment>& segments) const {

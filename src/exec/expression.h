@@ -59,6 +59,11 @@ class Predicate {
   /// Evaluates against one position of a row group's segments.
   bool EvalColumns(const std::vector<Segment>& segments, size_t i) const;
 
+  /// Evaluates against cell i of typed column vectors (the delta chunks),
+  /// with the same semantics as Eval and no Value boxing per cell.
+  bool EvalVectors(const std::vector<const ColumnVector*>& columns,
+                   size_t i) const;
+
   /// True if zone maps prove no row in these segments can match. Only
   /// conjunctive structure is exploited (OR nodes are never skipped on).
   bool CanSkipGroup(const std::vector<Segment>& segments) const;
@@ -76,6 +81,10 @@ class Predicate {
   std::string ToString(const Schema* schema = nullptr) const;
 
  private:
+  /// Walks the tree; `compare(column, op, literal)` decides each leaf.
+  template <typename CompareFn>
+  bool EvalTree(const CompareFn& compare) const;
+
   Kind kind_;
   int column_ = -1;
   CmpOp op_ = CmpOp::kEq;

@@ -37,36 +37,97 @@ void TableStatsBuilder::Reset() {
   deletes_since_recompute_ = 0;
 }
 
-void TableStatsBuilder::AddRow(const Row& row) {
-  const size_t n = std::min(cols_.size(), row.size());
-  for (size_t c = 0; c < n; ++c) {
-    ColumnAcc& acc = cols_[c];
-    const Value& v = row.Get(c);
-    if (v.is_null()) {
-      ++acc.nulls;
+namespace {
+
+bool AsTyped(const Value& v, int64_t* out) {
+  if (!v.is_int64()) return false;
+  *out = v.AsInt64();
+  return true;
+}
+bool AsTyped(const Value& v, double* out) {
+  if (!v.is_double()) return false;
+  *out = v.AsDouble();
+  return true;
+}
+bool AsTyped(const Value& v, std::string* out) {
+  if (!v.is_string()) return false;
+  *out = v.AsString();
+  return true;
+}
+
+uint64_t TypedHash(int64_t v) { return HashInt64(v); }
+uint64_t TypedHash(double v) { return HashDouble(v); }
+uint64_t TypedHash(const std::string& v) { return HashString(v); }
+
+double TypedWidth(int64_t) { return 8.0; }
+double TypedWidth(double) { return 8.0; }
+double TypedWidth(const std::string& v) {
+  return static_cast<double>(v.size());
+}
+
+/// One typed pass of a column into its accumulator fields. The bounds run
+/// typed from the stored ones when those have this type, which keeps the
+/// first of equal extremes exactly as Value ordering row by row would.
+template <typename T, typename Acc, typename Keep>
+void Accumulate(Acc* acc, const ColumnVector& v, const std::vector<T>& vals,
+                Keep keep) {
+  T mn{}, mx{};
+  const bool seeded =
+      acc->has_bounds && AsTyped(acc->min, &mn) && AsTyped(acc->max, &mx);
+  bool has = seeded;
+  for (size_t i = 0; i < vals.size(); ++i) {
+    if (!keep(i)) continue;
+    if (v.IsNull(i)) {
+      ++acc->nulls;
       continue;
     }
-    acc.sketch.Add(v.Hash());
-    acc.width_sum +=
-        v.is_string() ? static_cast<double>(v.AsString().size()) : 8.0;
-    ++acc.values;
-    if (!acc.has_bounds) {
-      acc.min = v;
-      acc.max = v;
-      acc.has_bounds = true;
+    const T& x = vals[i];
+    acc->sketch.Add(TypedHash(x));
+    acc->width_sum += TypedWidth(x);
+    ++acc->values;
+    if (!has) {
+      mn = x;
+      mx = x;
+      has = true;
     } else {
-      if (v < acc.min) acc.min = v;
-      if (acc.max < v) acc.max = v;
+      if (x < mn) mn = x;
+      if (mx < x) mx = x;
     }
+  }
+  if (!has) return;
+  if (seeded || !acc->has_bounds) {
+    acc->min = Value(mn);
+    acc->max = Value(mx);
+    acc->has_bounds = true;
+  } else {
+    // Stored bounds of another type: merge through Value ordering.
+    if (Value(mn) < acc->min) acc->min = Value(mn);
+    if (acc->max < Value(mx)) acc->max = Value(mx);
   }
 }
 
-void TableStatsBuilder::ApplyEntries(const std::vector<DeltaEntry>& entries) {
-  for (const DeltaEntry& e : entries) {
-    if (e.op == ChangeOp::kDelete)
-      ++deletes_since_recompute_;
-    else
-      AddRow(e.row);
+}  // namespace
+
+template <typename Keep>
+void TableStatsBuilder::AddColumn(size_t c, const ColumnVector& v,
+                                  Keep keep) {
+  ColumnAcc* acc = &cols_[c];
+  switch (v.type()) {
+    case Type::kInt64: Accumulate(acc, v, v.ints(), keep); break;
+    case Type::kDouble: Accumulate(acc, v, v.doubles(), keep); break;
+    case Type::kString: Accumulate(acc, v, v.strings(), keep); break;
+  }
+}
+
+void TableStatsBuilder::ApplyChunks(const std::vector<DeltaChunk>& chunks) {
+  for (const DeltaChunk& chunk : chunks) {
+    for (ChangeOp op : chunk.ops)
+      if (op == ChangeOp::kDelete) ++deletes_since_recompute_;
+    const size_t n = std::min(cols_.size(), chunk.columns.size());
+    for (size_t c = 0; c < n; ++c)
+      AddColumn(c, chunk.columns[c], [&](size_t i) {
+        return chunk.ops[i] != ChangeOp::kDelete;
+      });
   }
 }
 
@@ -75,16 +136,19 @@ void TableStatsBuilder::RecomputeFromColumnTable(const ColumnTable& table) {
   ReadGuard rg(table.latch());
   for (size_t g = 0; g < table.num_groups_unlocked(); ++g) {
     const RowGroup* group = table.group_unlocked(g);
-    for (size_t i = 0; i < group->num_rows; ++i) {
-      if (group->deleted.Test(i)) continue;
-      AddRow(table.MaterializeRow(*group, i));
-    }
+    const size_t n = std::min(cols_.size(), group->columns.size());
+    for (size_t c = 0; c < n; ++c)
+      AddColumn(c, group->columns[c].Decode(),
+                [&](size_t i) { return !group->deleted.Test(i); });
   }
 }
 
-void TableStatsBuilder::RecomputeFromRows(const std::vector<Row>& rows) {
+void TableStatsBuilder::RecomputeFromColumns(
+    const std::vector<ColumnVector>& columns) {
   Reset();
-  for (const Row& r : rows) AddRow(r);
+  const size_t n = std::min(cols_.size(), columns.size());
+  for (size_t c = 0; c < n; ++c)
+    AddColumn(c, columns[c], [](size_t) { return true; });
 }
 
 TableStats TableStatsBuilder::Snapshot(size_t row_count) const {

@@ -17,7 +17,6 @@
 #include "columnar/column_table.h"
 #include "delta/delta.h"
 #include "opt/optimizer.h"
-#include "types/row.h"
 #include "types/schema.h"
 
 namespace htap {
@@ -44,11 +43,12 @@ class KmvSketch {
 };
 
 /// Accumulates per-column min/max, NDV, null-fraction, and width statistics
-/// incrementally from sync-applied delta entries, with a full-recompute
-/// escape hatch for delete drift. The builder does NOT track the live row
-/// count — an upsert cannot be classified insert-vs-update from the delta
-/// alone — so publishers pass the authoritative count (e.g.
-/// ColumnTable::live_rows()) to Snapshot().
+/// incrementally from sync-applied delta chunks, one typed column at a
+/// time, with a full-recompute escape hatch for delete drift. Values hash
+/// with HashInt64/HashDouble/HashString, which equal Value::Hash(). The
+/// builder does NOT track the live row count — an upsert cannot be
+/// classified insert-vs-update from the delta alone — so publishers pass the
+/// authoritative count (e.g. ColumnTable::live_rows()) to Snapshot().
 ///
 /// Not thread-safe; callers serialize (the sync driver already holds its
 /// per-table merge mutex).
@@ -57,19 +57,17 @@ class TableStatsBuilder {
   explicit TableStatsBuilder(size_t num_columns,
                              size_t kmv_k = KmvSketch::kDefaultK);
 
-  /// Widens min/max and feeds the NDV sketches for every upserted row;
-  /// counts deletes toward deletes_since_recompute().
-  void ApplyEntries(const std::vector<DeltaEntry>& entries);
+  /// Widens min/max and feeds the NDV sketches with every upserted row of
+  /// the drained chunks; counts deletes toward deletes_since_recompute().
+  void ApplyChunks(const std::vector<DeltaChunk>& chunks);
 
-  /// Accumulates one live row.
-  void AddRow(const Row& row);
+  /// Full recompute from typed columns (the rebuild-sync path). Resets the
+  /// delete-drift counter.
+  void RecomputeFromColumns(const std::vector<ColumnVector>& columns);
 
   /// Full recompute from the column table's live rows (takes the table's
   /// shared latch). Resets the delete-drift counter.
   void RecomputeFromColumnTable(const ColumnTable& table);
-
-  /// Full recompute from materialized rows (the rebuild-sync path).
-  void RecomputeFromRows(const std::vector<Row>& rows);
 
   /// Deletes applied since the last full recompute — the caller's
   /// compaction / recompute trigger.
@@ -90,6 +88,10 @@ class TableStatsBuilder {
   };
 
   void Reset();
+  /// Accumulates the non-null cells of `v` at the rows `keep` accepts into
+  /// column `c`, in row order.
+  template <typename Keep>
+  void AddColumn(size_t c, const ColumnVector& v, Keep keep);
 
   size_t kmv_k_;
   std::vector<ColumnAcc> cols_;

@@ -236,8 +236,12 @@ DistributedDb::DistributedDb(SimEnv* env, Options options)
       ShardRuntime* rtp = &rt;
       rt.machines[rt.learner_id] = std::make_unique<ShardStateMachine>(
           [rtp](const std::vector<ChangeEvent>& events) {
-            for (auto& [tid, delta] : rtp->learner.deltas)
-              delta->AppendBatch(events, tid);
+            ForEachTableBatch(
+                events, [&](uint32_t tid, TableEvents table_events) {
+                  const auto it = rtp->learner.deltas.find(tid);
+                  if (it != rtp->learner.deltas.end())
+                    it->second->AppendBatch(table_events);
+                });
           });
     }
 
@@ -257,7 +261,7 @@ void DistributedDb::RegisterTable(uint32_t table_id, Schema schema) {
   schemas_.emplace(table_id, schema);
   for (auto& rt : shards_) {
     if (rt.learner_id < 0) continue;
-    rt.learner.deltas[table_id] = std::make_unique<LogDeltaStore>();
+    rt.learner.deltas[table_id] = std::make_unique<LogDeltaStore>(schema);
     rt.learner.tables[table_id] = std::make_unique<ColumnTable>(schema);
   }
 }
@@ -642,11 +646,12 @@ void DistributedDb::SyncLearners() {
   for (auto& rt : shards_) {
     if (rt.learner_id < 0) continue;
     for (auto& [tid, delta] : rt.learner.deltas) {
-      auto entries = delta->DrainUpTo(kMaxCSN);
-      if (entries.empty()) continue;
+      const std::vector<DeltaChunk> chunks = delta->DrainUpTo(kMaxCSN);
+      if (chunks.empty()) continue;
       CSN up_to = rt.learner.tables[tid]->merged_csn();
-      for (const auto& e : entries) up_to = std::max(up_to, e.csn);
-      ApplyEntriesToColumnTable(rt.learner.tables[tid].get(), entries, up_to);
+      for (const DeltaChunk& c : chunks)
+        for (CSN csn : c.csns) up_to = std::max(up_to, csn);
+      ApplyChunksToColumnTable(rt.learner.tables[tid].get(), chunks, up_to);
     }
   }
 }

@@ -226,8 +226,7 @@ Status DiskRowStore::AppendRecord(bool tombstone, Key key, const Row& row) {
 
 Status DiskRowStore::Put(const Row& row) {
   MutexLock lk(&mu_);
-  if (row.size() != schema_.num_columns())
-    return Status::InvalidArgument("row arity mismatch");
+  HTAP_RETURN_NOT_OK(CheckRow(schema_, row));
   return AppendRecord(false, row.GetKey(schema_), row);
 }
 

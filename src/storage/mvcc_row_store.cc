@@ -104,8 +104,7 @@ void MvccRowStore::LogDml(Transaction* txn, WalRecordType type, Key key,
 }
 
 Status MvccRowStore::Insert(Transaction* txn, const Row& row) {
-  if (row.size() != schema_.num_columns())
-    return Status::InvalidArgument("row arity mismatch");
+  HTAP_RETURN_NOT_OK(CheckRow(schema_, row));
   const Key key = row.GetKey(schema_);
   VersionChain* chain = GetOrCreateChain(key);
   SpinGuard g(chain->latch);
@@ -155,8 +154,7 @@ Status MvccRowStore::Insert(Transaction* txn, const Row& row) {
 }
 
 Status MvccRowStore::Update(Transaction* txn, const Row& row) {
-  if (row.size() != schema_.num_columns())
-    return Status::InvalidArgument("row arity mismatch");
+  HTAP_RETURN_NOT_OK(CheckRow(schema_, row));
   const Key key = row.GetKey(schema_);
   VersionChain* chain = FindChain(key);
   if (chain == nullptr) return Status::NotFound("no such key");

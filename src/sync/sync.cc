@@ -1,5 +1,8 @@
 #include "sync/sync.h"
 
+#include <algorithm>
+#include <chrono>
+
 #include "common/key_slot_map.h"
 
 namespace htap {
@@ -15,20 +18,27 @@ const char* SyncStrategyName(SyncStrategy s) {
 
 void FreshnessTracker::OnCommit(const std::vector<ChangeEvent>& events) {
   if (events.empty()) return;
+  const Micros now = clock_->NowMicros();
   MutexLock lk(&mu_);
-  samples_.emplace_back(events.back().csn, clock_->NowMicros());
+  samples_.emplace_back(events.back().csn, now);
   // Bound memory: keep a generous window; freshness questions are about the
   // recent past.
-  while (samples_.size() > 100000) samples_.pop_front();
+  while (samples_.size() > kMaxSamples) samples_.pop_front();
 }
 
 Micros FreshnessTracker::TimeLagMicros(CSN visible_csn) const {
-  MutexLock lk(&mu_);
-  // Oldest commit newer than what is visible.
-  for (const auto& [csn, t] : samples_) {
-    if (csn > visible_csn) return clock_->NowMicros() - t;
+  Micros oldest;
+  {
+    MutexLock lk(&mu_);
+    // Commits publish in CSN order: the oldest commit newer than what is
+    // visible is the first sample past visible_csn.
+    const auto it = std::upper_bound(
+        samples_.begin(), samples_.end(), visible_csn,
+        [](CSN v, const std::pair<CSN, Micros>& s) { return v < s.first; });
+    if (it == samples_.end()) return 0;
+    oldest = it->second;
   }
-  return 0;
+  return clock_->NowMicros() - oldest;
 }
 
 DataSynchronizer::DataSynchronizer(SyncStrategy strategy, ColumnTable* table,
@@ -47,42 +57,89 @@ DataSynchronizer::DataSynchronizer(ColumnTable* table,
       primary_(primary),
       clock_(clock) {}
 
-FoldedEntries FoldEntries(const std::vector<DeltaEntry>& entries) {
+namespace {
+
+/// A drained change: chunk index and row within it.
+struct DeltaPos {
+  uint32_t chunk = 0;
+  uint32_t row = 0;
+};
+
+/// Keys to delete-mark, and per surviving key the position of its last
+/// upsert.
+struct FoldedChunks {
+  std::vector<Key> deletes;
+  std::vector<DeltaPos> rows;
+};
+
+FoldedChunks FoldChunks(const std::vector<DeltaChunk>& chunks) {
   // Last write per key wins, at the position of the key's first upsert;
   // deletes drop pending upserts.
-  FoldedEntries out;
+  size_t n = 0;
+  for (const DeltaChunk& c : chunks) n += c.size();
+  FoldedChunks out;
   std::vector<uint8_t> dead;  // parallel to out.rows
-  KeySlotMap slots(entries.size());
-  for (const DeltaEntry& e : entries) {
-    uint32_t& slot = slots.Upsert(e.key);
-    if (e.op == ChangeOp::kDelete) {
-      if (slot != KeySlotMap::kNoSlot) dead[slot] = 1;
-      out.deletes.push_back(e.key);
-    } else if (slot != KeySlotMap::kNoSlot) {
-      out.rows[slot] = e.row;
-      dead[slot] = 0;
-    } else {
-      slot = static_cast<uint32_t>(out.rows.size());
-      out.rows.push_back(e.row);
-      dead.push_back(0);
+  KeySlotMap slots(n);
+  for (uint32_t ci = 0; ci < chunks.size(); ++ci) {
+    const DeltaChunk& c = chunks[ci];
+    for (uint32_t i = 0; i < c.size(); ++i) {
+      uint32_t& slot = slots.Upsert(c.keys[i]);
+      if (c.ops[i] == ChangeOp::kDelete) {
+        if (slot != KeySlotMap::kNoSlot) dead[slot] = 1;
+        out.deletes.push_back(c.keys[i]);
+      } else if (slot != KeySlotMap::kNoSlot) {
+        out.rows[slot] = DeltaPos{ci, i};
+        dead[slot] = 0;
+      } else {
+        slot = static_cast<uint32_t>(out.rows.size());
+        out.rows.push_back(DeltaPos{ci, i});
+        dead.push_back(0);
+      }
     }
   }
   size_t kept = 0;
-  for (size_t i = 0; i < out.rows.size(); ++i) {
-    if (dead[i]) continue;
-    if (kept != i) out.rows[kept] = std::move(out.rows[i]);
-    ++kept;
-  }
+  for (size_t i = 0; i < out.rows.size(); ++i)
+    if (!dead[i]) out.rows[kept++] = out.rows[i];
   out.rows.resize(kept);
   return out;
 }
 
-void ApplyEntriesToColumnTable(ColumnTable* table,
-                               const std::vector<DeltaEntry>& entries,
-                               CSN up_to) {
-  const FoldedEntries folded = FoldEntries(entries);
+double NowSeconds() {
+  return std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+}  // namespace
+
+void MergeChunksLocked(ColumnTable* table,
+                       const std::vector<DeltaChunk>& chunks, CSN up_to,
+                       SyncStageTimes* times) {
+  const double t0 = NowSeconds();
+  const FoldedChunks folded = FoldChunks(chunks);
+  const double t1 = NowSeconds();
+  // One typed gather per column of the new row group.
+  const Schema& schema = table->schema();
+  std::vector<ColumnVector> columns;
+  columns.reserve(schema.num_columns());
+  for (size_t c = 0; c < schema.num_columns(); ++c) {
+    ColumnVector& col = columns.emplace_back(schema.column(c).type);
+    col.Reserve(folded.rows.size());
+    for (const DeltaPos& p : folded.rows)
+      col.AppendFrom(chunks[p.chunk].columns[c], p.row);
+  }
+  table->ApplyLocked(folded.deletes, columns, up_to);
+  if (times != nullptr) {
+    times->fold_seconds += t1 - t0;
+    times->build_seconds += NowSeconds() - t1;
+  }
+}
+
+void ApplyChunksToColumnTable(ColumnTable* table,
+                              const std::vector<DeltaChunk>& chunks,
+                              CSN up_to) {
   WriteGuard g(table->latch());
-  table->ApplyLocked(folded.deletes, folded.rows, up_to);
+  MergeChunksLocked(table, chunks, up_to);
 }
 
 void DataSynchronizer::EnableStatsMaintenance(
@@ -107,44 +164,55 @@ Status DataSynchronizer::SyncTo(CSN target_csn) {
   if (strategy_ == SyncStrategy::kRebuild) {
     if (primary_ == nullptr)
       return Status::Internal("rebuild synchronizer has no primary store");
-    // Full repopulation from a row-store snapshot.
-    std::vector<Row> rows;
-    rows.reserve(primary_->ApproxRowCount());
+    // Full repopulation from a row-store snapshot, straight into columns.
+    const Schema& schema = table_->schema();
+    std::vector<ColumnVector> columns;
+    for (size_t c = 0; c < schema.num_columns(); ++c)
+      columns.emplace_back(schema.column(c).type).Reserve(
+          primary_->ApproxRowCount());
     const Snapshot snap{target_csn, 0};
     primary_->Scan(snap, [&](Key, const Row& r) {
-      rows.push_back(r);
+      for (size_t c = 0; c < columns.size(); ++c)
+        columns[c].AppendValue(r.Get(c));
       return true;
     });
+    const size_t rows = columns.empty() ? 0 : columns[0].size();
+    if (stats_builder_ != nullptr)
+      // A rebuild already holds the full live row set — recompute exactly.
+      stats_builder_->RecomputeFromColumns(columns);
     {
       // One hold: a scan sees the old table or the reloaded one, never the
       // empty one in between.
       WriteGuard g(table_->latch());
       table_->ClearLocked();
-      table_->ApplyLocked({}, rows, target_csn);
+      table_->ApplyLocked({}, columns, target_csn);
     }
-    stats_.rows_loaded += rows.size();
-    if (stats_builder_ != nullptr) {
-      // A rebuild already holds the full live row set — recompute exactly.
-      stats_builder_->RecomputeFromRows(rows);
-      publish_stats_(stats_builder_->Snapshot(rows.size()), target_csn);
-    }
+    stats_.rows_loaded += rows;
+    if (stats_builder_ != nullptr)
+      publish_stats_(stats_builder_->Snapshot(rows), target_csn);
   } else {
     if (source_ == nullptr)
       return Status::Internal("merge synchronizer has no delta source");
     // Drain and apply in one exclusive hold of the table latch (rank 500,
     // then the delta store's 550): a scan reads the delta and the main
     // under the shared latch, so it sees a drained entry in exactly one.
-    std::vector<DeltaEntry> entries;
+    SyncStageTimes& times = stats_.stages;
+    std::vector<DeltaChunk> chunks;
     {
       WriteGuard g(table_->latch());
-      entries = source_->DrainUpTo(target_csn);
+      const double t = NowSeconds();
+      chunks = source_->DrainUpTo(target_csn);
+      times.drain_seconds += NowSeconds() - t;
       if (drain_hook_for_test_) drain_hook_for_test_();
-      const FoldedEntries folded = FoldEntries(entries);
-      table_->ApplyLocked(folded.deletes, folded.rows, target_csn);
+      MergeChunksLocked(table_, chunks, target_csn, &times);
     }
-    stats_.entries_merged += entries.size();
+    size_t entries = 0;
+    for (const DeltaChunk& c : chunks) entries += c.size();
+    stats_.entries_merged += entries;
+    times.entries += entries;
+    const double t_stats = NowSeconds();
     if (stats_builder_ != nullptr) {
-      stats_builder_->ApplyEntries(entries);
+      stats_builder_->ApplyChunks(chunks);
       if (stats_builder_->deletes_since_recompute() >
           compact_delete_threshold_) {
         // Delete drift: the sketches only widen, so compact away the dead
@@ -155,6 +223,10 @@ Status DataSynchronizer::SyncTo(CSN target_csn) {
       publish_stats_(stats_builder_->Snapshot(table_->live_rows()),
                      target_csn);
     }
+    const double t_release = NowSeconds();
+    times.stats_seconds += t_release - t_stats;
+    chunks = {};
+    times.release_seconds += NowSeconds() - t_release;
   }
 
   const Micros dt = clock_->NowMicros() - t0;

@@ -36,7 +36,7 @@ namespace htap {
 class DeltaSource {
  public:
   virtual ~DeltaSource() = default;
-  virtual std::vector<DeltaEntry> DrainUpTo(CSN csn) = 0;
+  virtual std::vector<DeltaChunk> DrainUpTo(CSN csn) = 0;
   virtual size_t PendingEntries() const = 0;
 };
 
@@ -44,7 +44,7 @@ template <typename DeltaT>
 class DeltaSourceAdapter : public DeltaSource {
  public:
   explicit DeltaSourceAdapter(DeltaT* delta) : delta_(delta) {}
-  std::vector<DeltaEntry> DrainUpTo(CSN csn) override {
+  std::vector<DeltaChunk> DrainUpTo(CSN csn) override {
     return delta_->DrainUpTo(csn);
   }
   size_t PendingEntries() const override { return delta_->EntryCount(); }
@@ -68,13 +68,41 @@ class FreshnessTracker : public ChangeSink {
   }
 
   /// Age of the oldest committed-but-not-yet-visible change; 0 if fully
-  /// fresh.
+  /// fresh. The samples are kept in CSN order, so this is a binary search.
   Micros TimeLagMicros(CSN visible_csn) const;
+
+  /// Samples kept; older ones are dropped first.
+  static constexpr size_t kMaxSamples = 100000;
 
  private:
   const Clock* clock_;
   mutable Mutex mu_{LockRank::kFreshness, "freshness-tracker"};
   std::deque<std::pair<CSN, Micros>> samples_ GUARDED_BY(mu_);  // (csn, time)
+};
+
+/// Where the merge strategies spend their time, stage by stage, and how
+/// many entries went through those stages. Drain, fold and build run under
+/// the table's write latch; stats and release run after it.
+struct SyncStageTimes {
+  uint64_t entries = 0;
+  double drain_seconds = 0;    // delta chunks moved out of the store
+  double fold_seconds = 0;     // last upsert per key, by position
+  double build_seconds = 0;    // typed gather + segment encode + apply
+  double stats_seconds = 0;    // TableStatsBuilder and its compaction
+  double release_seconds = 0;  // freeing the drained chunks
+
+  double total_seconds() const {
+    return drain_seconds + fold_seconds + build_seconds + stats_seconds +
+           release_seconds;
+  }
+  void Add(const SyncStageTimes& o) {
+    entries += o.entries;
+    drain_seconds += o.drain_seconds;
+    fold_seconds += o.fold_seconds;
+    build_seconds += o.build_seconds;
+    stats_seconds += o.stats_seconds;
+    release_seconds += o.release_seconds;
+  }
 };
 
 /// Statistics from merge activity (bench_table2_ds reads these).
@@ -84,6 +112,7 @@ struct SyncStats {
   uint64_t rows_loaded = 0;        // rebuild strategy
   uint64_t merge_micros_total = 0;
   uint64_t last_merge_micros = 0;
+  SyncStageTimes stages;           // merge strategies
 };
 
 enum class SyncStrategy : uint8_t {
@@ -156,21 +185,22 @@ class DataSynchronizer {
   mutable Mutex mu_{LockRank::kSyncMerge, "sync-merge"};  // one merge at a time
 };
 
-/// A batch of delta entries (commit order) folded to its net effect: keys
-/// to delete-mark and the last row image per surviving key.
-struct FoldedEntries {
-  std::vector<Key> deletes;
-  std::vector<Row> rows;
-};
-FoldedEntries FoldEntries(const std::vector<DeltaEntry>& entries);
+/// Folds drained chunks (commit order) by position — the last upsert per
+/// key wins, placed where the key was first upserted, and no cell is
+/// copied — then gathers each column of the new row group with one
+/// typed loop and applies it, advancing merged_csn to `up_to`. The caller
+/// holds the table's write latch. `times` (optional) gets the fold and
+/// build seconds.
+void MergeChunksLocked(ColumnTable* table,
+                       const std::vector<DeltaChunk>& chunks, CSN up_to,
+                       SyncStageTimes* times = nullptr);
 
-/// Applies a batch of delta entries (commit order) to a column table in one
-/// hold of its write latch and advances merged_csn to `up_to`. Used where
-/// the entries were drained before (learner replica apply loop);
+/// MergeChunksLocked in one hold of the table's write latch. Used where the
+/// chunks were drained before (learner replica apply loop);
 /// DataSynchronizer drains under the latch itself.
-void ApplyEntriesToColumnTable(ColumnTable* table,
-                               const std::vector<DeltaEntry>& entries,
-                               CSN up_to);
+void ApplyChunksToColumnTable(ColumnTable* table,
+                              const std::vector<DeltaChunk>& chunks,
+                              CSN up_to);
 
 /// Periodic background sync driver: wakes every `interval`, syncs to the
 /// latest committed CSN when the staged-entry threshold or interval hits.

@@ -83,6 +83,22 @@ class Row {
   std::vector<Value> values_;
 };
 
+/// Checks that `row` can be stored under `schema`: one cell per column,
+/// each FitsColumn, and a non-NULL primary key.
+inline Status CheckRow(const Schema& schema, const Row& row) {
+  if (row.size() != schema.num_columns())
+    return Status::InvalidArgument("row arity mismatch");
+  for (size_t c = 0; c < row.size(); ++c)
+    if (!FitsColumn(schema.column(c).type, row.Get(c)))
+      return Status::InvalidArgument(
+          std::string("value ") + row.Get(c).ToString() + " does not fit " +
+          TypeName(schema.column(c).type) + " column " +
+          schema.column(c).name);
+  if (row.Get(static_cast<size_t>(schema.pk_index())).is_null())
+    return Status::InvalidArgument("primary key is NULL");
+  return Status::OK();
+}
+
 }  // namespace htap
 
 #endif  // HTAP_TYPES_ROW_H_

@@ -24,6 +24,12 @@ struct ColumnDef {
       : name(std::move(n)), type(t), nullable(null_ok) {}
 };
 
+/// True if `v` may be stored in a column of type `t`: NULL, a value of
+/// type `t`, or an INT64 in a DOUBLE column (stored widened).
+inline bool FitsColumn(Type t, const Value& v) {
+  return v.is_null() || v.type() == t || (t == Type::kDouble && v.is_int64());
+}
+
 /// An immutable ordered set of columns plus the primary-key column index.
 class Schema {
  public:

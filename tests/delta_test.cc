@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <string>
+#include <thread>
 
 #include "common/thread_pool.h"
 #include "delta/delta.h"
@@ -32,8 +34,17 @@ DeltaEntry E(ChangeOp op, Key k, int64_t v, CSN csn) {
 
 std::vector<DeltaEntry> Collect(const DeltaReader& r, CSN snap) {
   std::vector<DeltaEntry> out;
-  r.ScanVisible(snap, [&](const DeltaEntry& e) { out.push_back(e); });
+  r.ScanVisible(snap, [&](const DeltaSlice& s) {
+    for (size_t i = s.begin; i < s.end; ++i)
+      out.push_back(s.chunk->EntryAt(i));
+  });
   return out;
+}
+
+size_t Entries(const std::vector<DeltaChunk>& chunks) {
+  size_t n = 0;
+  for (const DeltaChunk& c : chunks) n += c.size();
+  return n;
 }
 
 // ---- Shared contract, parameterized over the three designs -----------
@@ -46,21 +57,21 @@ class DeltaContractTest : public ::testing::TestWithParam<DeltaKind> {
   void SetUp() override {
     switch (GetParam()) {
       case DeltaKind::kInMemory:
-        mem_ = std::make_unique<InMemoryDeltaStore>();
+        mem_ = std::make_unique<InMemoryDeltaStore>(TestSchema());
         break;
       case DeltaKind::kL1L2:
         l1l2_ = std::make_unique<L1L2DeltaStore>(TestSchema(), 4);
         break;
       case DeltaKind::kLog:
-        log_ = std::make_unique<LogDeltaStore>();
+        log_ = std::make_unique<LogDeltaStore>(TestSchema());
         break;
     }
   }
 
-  void Append(const DeltaEntry& e) {
-    if (mem_) mem_->Append(e);
-    if (l1l2_) l1l2_->Append(e);
-    if (log_) log_->AppendFile({e});
+  Status Append(const DeltaEntry& e) {
+    if (mem_) return mem_->Append(e);
+    if (l1l2_) return l1l2_->Append(e);
+    return log_->AppendFile({e});
   }
 
   DeltaReader* reader() {
@@ -69,7 +80,7 @@ class DeltaContractTest : public ::testing::TestWithParam<DeltaKind> {
     return log_.get();
   }
 
-  std::vector<DeltaEntry> Drain(CSN csn) {
+  std::vector<DeltaChunk> Drain(CSN csn) {
     if (mem_) return mem_->DrainUpTo(csn);
     if (l1l2_) return l1l2_->DrainUpTo(csn);
     return log_->DrainUpTo(csn);
@@ -118,11 +129,55 @@ TEST_P(DeltaContractTest, DrainRemovesOnlyOldEntries) {
   for (CSN c = 1; c <= 10; ++c)
     Append(E(ChangeOp::kInsert, static_cast<Key>(c), c, c));
   const auto drained = Drain(6);
-  EXPECT_EQ(drained.size(), 6u);
+  EXPECT_EQ(Entries(drained), 6u);
   EXPECT_EQ(reader()->EntryCount(), 4u);
   const auto rest = Collect(*reader(), 100);
   ASSERT_EQ(rest.size(), 4u);
   EXPECT_EQ(rest[0].csn, 7u);
+}
+
+// One writer appends while a scanner reads chunk ranges and a drainer
+// moves chunks out (the TSan suite runs this): every scan sees a CSN-ordered
+// prefix of what was appended, and the drains account for every entry once.
+TEST_P(DeltaContractTest, AppendRacesScanAndDrain) {
+  constexpr CSN kLast = 3000;
+  std::atomic<CSN> appended{0};
+  std::atomic<bool> done{false};
+  std::thread writer([&] {
+    for (CSN c = 1; c <= kLast; ++c) {
+      Append(E(c % 3 == 0 ? ChangeOp::kDelete : ChangeOp::kUpdate,
+               static_cast<Key>(c % 50), static_cast<int64_t>(c), c));
+      // order: release — the appended entry happens-before a drainer that
+      // observes the new frontier.
+      appended.store(c, std::memory_order_release);
+    }
+  });
+  std::thread scanner([&] {
+    // order: acquire pairs with the drainer's release of the stop flag.
+    while (!done.load(std::memory_order_acquire)) {
+      CSN prev = 0;
+      for (const DeltaEntry& e : Collect(*reader(), kMaxCSN)) {
+        ASSERT_GT(e.csn, prev);
+        ASSERT_EQ(e.op == ChangeOp::kDelete, e.row.empty());
+        if (!e.row.empty()) ASSERT_EQ(e.row.Get(1).AsInt64(),
+                                      static_cast<int64_t>(e.csn));
+        prev = e.csn;
+      }
+    }
+  });
+  size_t drained = 0;
+  while (drained < kLast) {
+    // order: acquire pairs with the writer's release.
+    for (const DeltaChunk& c : Drain(appended.load(std::memory_order_acquire)))
+      drained += c.size();
+    std::this_thread::yield();
+  }
+  writer.join();
+  // order: release pairs with the scanner's acquire.
+  done.store(true, std::memory_order_release);
+  scanner.join();
+  EXPECT_EQ(drained, kLast);
+  EXPECT_EQ(reader()->EntryCount(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllDeltaDesigns, DeltaContractTest,
@@ -137,6 +192,28 @@ Row R(Key k, int64_t v) { return Row{Value(k), Value(v)}; }
 // Main: keys 0..9 with v = 10k, in two row groups. Every case scans the
 // union with ScanHtap and checks ScanHtapBatches against it at batch_rows
 // 0, 7 and 4096, serial and parallel.
+TEST_P(DeltaContractTest, MisfitRowImageIsRejectedAndNothingStaged) {
+  DeltaEntry wrong_type = E(ChangeOp::kInsert, 2, 0, 1);
+  wrong_type.row.Set(1, Value(2.5));  // DOUBLE in an INT64 column
+  DeltaEntry short_row = E(ChangeOp::kInsert, 3, 0, 1);
+  short_row.row = Row{Value(int64_t{3})};
+  // Rejected into an empty store, then next to a staged change.
+  EXPECT_TRUE(Append(wrong_type).IsInvalidArgument());
+  EXPECT_EQ(reader()->EntryCount(), 0u);
+  EXPECT_TRUE(Collect(*reader(), 100).empty());
+  ASSERT_TRUE(Append(E(ChangeOp::kInsert, 1, 10, 1)).ok());
+  EXPECT_TRUE(Append(wrong_type).IsInvalidArgument());
+  EXPECT_TRUE(Append(short_row).IsInvalidArgument());
+  ASSERT_TRUE(Append(E(ChangeOp::kUpdate, 1, 11, 2)).ok());
+
+  EXPECT_EQ(reader()->EntryCount(), 2u);
+  const auto all = Collect(*reader(), 100);
+  ASSERT_EQ(all.size(), 2u);
+  EXPECT_EQ(all[0].row, (Row{Value(int64_t{1}), Value(int64_t{10})}));
+  EXPECT_EQ(all[1].row, (Row{Value(int64_t{1}), Value(int64_t{11})}));
+  EXPECT_EQ(Entries(Drain(100)), 2u);
+}
+
 class DeltaOverlayTest : public DeltaContractTest {
  protected:
   DeltaOverlayTest() : table_(TestSchema()), pool_(2, "overlay-ap") {
@@ -295,7 +372,7 @@ TEST(L1L2DeltaTest, ManualSpillAndDrainAcrossLayers) {
   for (CSN c = 6; c <= 8; ++c) d.Append(E(ChangeOp::kInsert, static_cast<Key>(c), c, c));
   // Drain cuts through the middle of the L2 chunk.
   const auto drained = d.DrainUpTo(3);
-  EXPECT_EQ(drained.size(), 3u);
+  EXPECT_EQ(Entries(drained), 3u);
   EXPECT_EQ(d.EntryCount(), 5u);
   const auto rest = Collect(d, 100);
   EXPECT_EQ(rest.front().csn, 4u);
@@ -313,7 +390,7 @@ TEST(L1L2DeltaTest, DeletesInColumnarL2RoundTrip) {
 }
 
 TEST(LogDeltaTest, FilesAreEncodedAndCounted) {
-  LogDeltaStore d;
+  LogDeltaStore d(TestSchema());
   std::vector<DeltaEntry> batch;
   for (CSN c = 1; c <= 5; ++c)
     batch.push_back(E(ChangeOp::kInsert, static_cast<Key>(c), c, c));
@@ -327,7 +404,7 @@ TEST(LogDeltaTest, FilesAreEncodedAndCounted) {
 }
 
 TEST(LogDeltaTest, KeyIndexFindsLatestEntry) {
-  LogDeltaStore d;
+  LogDeltaStore d(TestSchema());
   d.AppendFile({E(ChangeOp::kInsert, 42, 1, 1)});
   d.AppendFile({E(ChangeOp::kUpdate, 42, 2, 2)});
   DeltaEntry out;
@@ -338,12 +415,12 @@ TEST(LogDeltaTest, KeyIndexFindsLatestEntry) {
 }
 
 TEST(LogDeltaTest, DrainDropsWholeFilesOnly) {
-  LogDeltaStore d;
+  LogDeltaStore d(TestSchema());
   d.AppendFile({E(ChangeOp::kInsert, 1, 1, 1), E(ChangeOp::kInsert, 2, 2, 2)});
   d.AppendFile({E(ChangeOp::kInsert, 3, 3, 3), E(ChangeOp::kInsert, 4, 4, 4)});
   // CSN 3 falls inside file 2: only file 1 (max csn 2) is drained.
   const auto drained = d.DrainUpTo(3);
-  EXPECT_EQ(drained.size(), 2u);
+  EXPECT_EQ(Entries(drained), 2u);
   EXPECT_EQ(d.num_files(), 1u);
   DeltaEntry out;
   EXPECT_TRUE(d.LookupLatest(3, &out));  // still resolvable after seq shift
@@ -351,7 +428,7 @@ TEST(LogDeltaTest, DrainDropsWholeFilesOnly) {
 }
 
 TEST(InMemoryDeltaTest, MemoryAccountingShrinksOnDrain) {
-  InMemoryDeltaStore d;
+  InMemoryDeltaStore d(TestSchema());
   for (CSN c = 1; c <= 100; ++c)
     d.Append(E(ChangeOp::kInsert, static_cast<Key>(c), c, c));
   const size_t before = d.MemoryBytes();

@@ -118,7 +118,7 @@ TEST_F(ScanTest, ZoneMapSkipsGroups) {
 }
 
 TEST_F(ScanTest, DeltaUnionOverridesMain) {
-  InMemoryDeltaStore delta;
+  InMemoryDeltaStore delta(TestSchema());
   DeltaEntry upd;
   upd.op = ChangeOp::kUpdate;
   upd.key = 10;
@@ -155,7 +155,7 @@ TEST_F(ScanTest, DeltaUnionOverridesMain) {
 }
 
 TEST_F(ScanTest, DeltaSnapshotCutoff) {
-  InMemoryDeltaStore delta;
+  InMemoryDeltaStore delta(TestSchema());
   DeltaEntry del;
   del.op = ChangeOp::kDelete;
   del.key = 5;

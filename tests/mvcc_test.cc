@@ -148,6 +148,32 @@ TEST_F(MvccTest, InsertDuplicateFails) {
   mgr_.Abort(t1.get());
 }
 
+TEST_F(MvccTest, RowsThatDoNotFitTheSchemaAreRejected) {
+  auto t = mgr_.Begin();
+  EXPECT_TRUE(store_.Insert(t.get(), Row{Value(int64_t{1}), Value(2.5),
+                                         Value("n")})
+                  .IsInvalidArgument());
+  EXPECT_TRUE(store_.Insert(t.get(), Row{Value(int64_t{1}), Value("x"),
+                                         Value("n")})
+                  .IsInvalidArgument());
+  EXPECT_TRUE(store_.Insert(t.get(), Row{Value(), Value(int64_t{1}),
+                                         Value("n")})
+                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      store_.Insert(t.get(), Row{Value(int64_t{1}), Value(int64_t{2})})
+          .IsInvalidArgument());
+  ASSERT_TRUE(store_.Insert(t.get(), Row{Value(int64_t{1}), Value(),
+                                         Value("n")})
+                  .ok());  // NULL fits any non-key column
+  EXPECT_TRUE(store_.Update(t.get(), Row{Value(int64_t{1}), Value(int64_t{2}),
+                                         Value(int64_t{3})})
+                  .IsInvalidArgument());
+  ASSERT_TRUE(mgr_.Commit(t.get()).ok());
+  Row out;
+  ASSERT_TRUE(store_.Get(mgr_.CurrentSnapshot(), 1, &out).ok());
+  EXPECT_TRUE(out.Get(1).is_null());
+}
+
 TEST_F(MvccTest, OwnWriteReadAndInPlaceUpdate) {
   auto t = mgr_.Begin();
   store_.Insert(t.get(), MakeRow(1, 1));

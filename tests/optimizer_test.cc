@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "common/random.h"
@@ -206,14 +207,35 @@ TEST(TableStatsBuilderTest, IncrementalMatchesBatchCompute) {
   const auto rows = UniformRows(1000);
   const auto batch = TableStats::Compute(TestSchema(), rows);
 
+  // Many ApplyChunks calls over chunks of uneven sizes, so bounds and
+  // sketches must carry over from one call to the next.
   TableStatsBuilder builder(3);
-  for (const Row& r : rows) builder.AddRow(r);
+  const std::vector<Type> types = {Type::kInt64, Type::kInt64,
+                                   Type::kString};
+  const size_t kChunkRows[] = {1, 7, 64, 3, 128, 300};
+  size_t next = 0, call = 0;
+  for (; next < rows.size(); ++call) {
+    std::vector<DeltaChunk> chunks;
+    for (size_t c = 0; c < 2 && next < rows.size(); ++c) {
+      DeltaChunk& chunk = chunks.emplace_back(types);
+      const size_t n = std::min(kChunkRows[(call + c) % 6], rows.size() - next);
+      for (size_t i = 0; i < n; ++i, ++next)
+        ASSERT_TRUE(chunk.Append(ChangeOp::kInsert,
+                                 rows[next].GetKey(TestSchema()), 1,
+                                 rows[next]));
+    }
+    builder.ApplyChunks(chunks);
+  }
+  ASSERT_GT(call, 5u);
   const TableStats inc = builder.Snapshot(rows.size());
 
   EXPECT_EQ(inc.row_count, batch.row_count);
   ASSERT_EQ(inc.columns.size(), 3u);
-  EXPECT_EQ(inc.columns[0].min.AsInt64(), batch.columns[0].min.AsInt64());
-  EXPECT_EQ(inc.columns[0].max.AsInt64(), batch.columns[0].max.AsInt64());
+  for (size_t c = 0; c < 3; ++c) {
+    SCOPED_TRACE("column " + std::to_string(c));
+    EXPECT_EQ(inc.columns[c].min.Compare(batch.columns[c].min), 0);
+    EXPECT_EQ(inc.columns[c].max.Compare(batch.columns[c].max), 0);
+  }
   EXPECT_NEAR(inc.columns[0].ndv, batch.columns[0].ndv, 100);
   EXPECT_NEAR(inc.columns[1].ndv, 100, 5);
   EXPECT_NEAR(inc.columns[2].ndv, 10, 1);
@@ -221,19 +243,13 @@ TEST(TableStatsBuilderTest, IncrementalMatchesBatchCompute) {
 
 TEST(TableStatsBuilderTest, DeletesAccumulateDriftUntilRecompute) {
   TableStatsBuilder builder(3);
-  std::vector<DeltaEntry> entries;
-  for (int64_t i = 0; i < 10; ++i) {
-    DeltaEntry e;
-    e.op = ChangeOp::kInsert;
-    e.key = i;
-    e.row = Row{Value(i), Value(i % 3), Value("x")};
-    entries.push_back(std::move(e));
-  }
-  DeltaEntry del;
-  del.op = ChangeOp::kDelete;
-  del.key = 3;
-  entries.push_back(std::move(del));
-  builder.ApplyEntries(entries);
+  std::vector<DeltaChunk> chunks(
+      1, DeltaChunk({Type::kInt64, Type::kInt64, Type::kString}));
+  for (int64_t i = 0; i < 10; ++i)
+    chunks[0].Append(ChangeOp::kInsert, i, 1,
+                     Row{Value(i), Value(i % 3), Value("x")});
+  chunks[0].Append(ChangeOp::kDelete, 3, 2, Row());
+  builder.ApplyChunks(chunks);
 
   EXPECT_EQ(builder.deletes_since_recompute(), 1u);
   // Deletes cannot shrink incremental estimates: bounds still span all
@@ -242,8 +258,8 @@ TEST(TableStatsBuilderTest, DeletesAccumulateDriftUntilRecompute) {
   EXPECT_EQ(st.columns[0].min.AsInt64(), 0);
   EXPECT_EQ(st.columns[0].max.AsInt64(), 9);
 
-  builder.RecomputeFromRows({Row{Value(int64_t{5}), Value(int64_t{1}),
-                                 Value("y")}});
+  builder.RecomputeFromColumns(RowsToColumns(
+      TestSchema(), {Row{Value(int64_t{5}), Value(int64_t{1}), Value("y")}}));
   EXPECT_EQ(builder.deletes_since_recompute(), 0u);
   const TableStats st2 = builder.Snapshot(1);
   EXPECT_EQ(st2.columns[0].min.AsInt64(), 5);

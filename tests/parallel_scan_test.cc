@@ -28,7 +28,8 @@ Row TRow(Key id, int64_t v, const std::string& cat, double price) {
 
 class ParallelScanTest : public ::testing::Test {
  protected:
-  ParallelScanTest() : table_(TestSchema()), pool_(4, "test-ap") {
+  ParallelScanTest()
+      : table_(TestSchema()), delta_(TestSchema()), pool_(4, "test-ap") {
     // Eight row groups of 64 rows each.
     std::vector<Row> batch;
     for (Key id = 0; id < 512; ++id) {
@@ -302,7 +303,7 @@ TEST(TaskGroupTest, TracksOnlyItsOwnTasks) {
 // updates/deletes/inserts always reflected.
 TEST_F(ParallelScanTest, ConcurrentReadersWithAppendDeleteCompactWriter) {
   ColumnTable t(TestSchema());
-  InMemoryDeltaStore delta;
+  InMemoryDeltaStore delta(TestSchema());
   std::vector<Row> seed;
   for (Key id = 0; id < 256; ++id)
     seed.push_back(TRow(id, id, "seed", id * 1.0));

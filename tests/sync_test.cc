@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <deque>
 #include <map>
 #include <string>
 #include <thread>
@@ -47,7 +48,7 @@ std::map<Key, int64_t> RowState(const MvccRowStore& store, const Snapshot& s) {
 TEST(SyncTest, InMemoryMergeConvergesColumnStore) {
   TransactionManager mgr;
   MvccRowStore rows(1, TestSchema(), &mgr, nullptr);
-  auto delta = std::make_unique<InMemoryDeltaStore>();
+  auto delta = std::make_unique<InMemoryDeltaStore>(TestSchema());
   InMemoryDeltaStore* delta_ptr = delta.get();
   ColumnTable table(TestSchema());
   DataSynchronizer sync(
@@ -57,7 +58,9 @@ TEST(SyncTest, InMemoryMergeConvergesColumnStore) {
   struct Router : ChangeSink {
     InMemoryDeltaStore* d;
     void OnCommit(const std::vector<ChangeEvent>& evs) override {
-      d->AppendBatch(evs, 1);
+      ForEachTableBatch(evs, [&](uint32_t, TableEvents te) {
+        d->AppendBatch(te);
+      });
     }
   } router;
   router.d = delta_ptr;
@@ -81,7 +84,7 @@ TEST(SyncTest, InMemoryMergeConvergesColumnStore) {
 }
 
 TEST(SyncTest, LogMergeConvergesColumnStore) {
-  LogDeltaStore delta;
+  LogDeltaStore delta(TestSchema());
   ColumnTable table(TestSchema());
   DataSynchronizer sync(
       SyncStrategy::kLogMerge, &table,
@@ -128,23 +131,20 @@ TEST(SyncTest, RebuildFromPrimaryMatchesRowStore) {
             RowState(rows, mgr.CurrentSnapshot()));
 }
 
-TEST(SyncTest, ApplyEntriesFoldsBatch) {
+TEST(SyncTest, ApplyChunksFoldsBatch) {
   ColumnTable table(TestSchema());
-  std::vector<DeltaEntry> entries;
-  auto add = [&](ChangeOp op, Key k, int64_t v, CSN c) {
-    DeltaEntry e;
-    e.op = op;
-    e.key = k;
-    e.csn = c;
-    if (op != ChangeOp::kDelete) e.row = MakeRow(k, v);
-    entries.push_back(e);
+  // Two chunks, so the fold also crosses a chunk boundary.
+  std::vector<DeltaChunk> chunks(2, DeltaChunk({Type::kInt64, Type::kInt64}));
+  auto add = [&](size_t chunk, ChangeOp op, Key k, int64_t v, CSN c) {
+    chunks[chunk].Append(op, k, c,
+                         op == ChangeOp::kDelete ? Row() : MakeRow(k, v));
   };
-  add(ChangeOp::kInsert, 1, 1, 1);
-  add(ChangeOp::kUpdate, 1, 2, 2);   // folded over the insert
-  add(ChangeOp::kInsert, 2, 5, 3);
-  add(ChangeOp::kDelete, 2, 0, 4);   // cancels the insert
-  add(ChangeOp::kInsert, 3, 7, 5);
-  ApplyEntriesToColumnTable(&table, entries, 5);
+  add(0, ChangeOp::kInsert, 1, 1, 1);
+  add(0, ChangeOp::kUpdate, 1, 2, 2);   // folded over the insert
+  add(0, ChangeOp::kInsert, 2, 5, 3);
+  add(1, ChangeOp::kDelete, 2, 0, 4);   // cancels the insert
+  add(1, ChangeOp::kInsert, 3, 7, 5);
+  ApplyChunksToColumnTable(&table, chunks, 5);
   EXPECT_EQ(table.live_rows(), 2u);
   size_t gi, off;
   ASSERT_TRUE(table.FindKey(1, &gi, &off));
@@ -154,7 +154,7 @@ TEST(SyncTest, ApplyEntriesFoldsBatch) {
 
 TEST(SyncTest, SyncToIsIdempotent) {
   ColumnTable table(TestSchema());
-  InMemoryDeltaStore delta;
+  InMemoryDeltaStore delta(TestSchema());
   DataSynchronizer sync(
       SyncStrategy::kInMemoryMerge, &table,
       std::make_unique<DeltaSourceAdapter<InMemoryDeltaStore>>(&delta));
@@ -174,7 +174,7 @@ TEST(SyncTest, SyncToIsIdempotent) {
 TEST(SyncTest, PropertyDeltaColumnUnionEqualsRowStore) {
   TransactionManager mgr;
   MvccRowStore rows(1, TestSchema(), &mgr, nullptr);
-  InMemoryDeltaStore delta;
+  InMemoryDeltaStore delta(TestSchema());
   ColumnTable table(TestSchema());
   DataSynchronizer sync(
       SyncStrategy::kInMemoryMerge, &table,
@@ -183,7 +183,9 @@ TEST(SyncTest, PropertyDeltaColumnUnionEqualsRowStore) {
   struct Router : ChangeSink {
     InMemoryDeltaStore* d;
     void OnCommit(const std::vector<ChangeEvent>& evs) override {
-      d->AppendBatch(evs, 1);
+      ForEachTableBatch(evs, [&](uint32_t, TableEvents te) {
+        d->AppendBatch(te);
+      });
     }
   } router;
   router.d = &delta;
@@ -232,7 +234,7 @@ TEST(SyncTest, FreshScansNeverFallBetweenDrainAndApply) {
   SCOPED_TRACE("seed " + std::to_string(kSeed));
   constexpr Key kKeys = 3000;
   ColumnTable table(TestSchema());
-  InMemoryDeltaStore delta;
+  InMemoryDeltaStore delta(TestSchema());
   DataSynchronizer sync(
       SyncStrategy::kInMemoryMerge, &table,
       std::make_unique<DeltaSourceAdapter<InMemoryDeltaStore>>(&delta));
@@ -319,6 +321,68 @@ TEST(FreshnessTrackerTest, LagReflectsUnmergedCommits) {
   EXPECT_EQ(tracker.TimeLagMicros(/*visible=*/10), 0);
   EXPECT_EQ(tracker.CsnLag(10, 4), 6u);
   EXPECT_EQ(tracker.CsnLag(10, 10), 0u);
+}
+
+/// The linear lookup the binary search replaced: the age of the first
+/// sample newer than `visible`, or 0.
+Micros LinearLag(const std::deque<std::pair<CSN, Micros>>& samples,
+                 CSN visible, Micros now) {
+  for (const auto& [csn, t] : samples)
+    if (csn > visible) return now - t;
+  return 0;
+}
+
+TEST(FreshnessTrackerTest, BinarySearchMatchesLinearReference) {
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Random rng(seed);
+    VirtualClock clock;
+    FreshnessTracker tracker(&clock);
+    std::deque<std::pair<CSN, Micros>> ref;
+    const Micros t0 = 1000;
+    clock.AdvanceTo(t0);
+    // Empty tracker: nothing is pending.
+    EXPECT_EQ(tracker.TimeLagMicros(0), 0);
+    // Commits with gaps in CSN (other tables' commits) and in time; some
+    // share a timestamp.
+    CSN csn = rng.Uniform(5);
+    const size_t n = 1 + rng.Uniform(300);
+    for (size_t i = 0; i < n; ++i) {
+      csn += 1 + rng.Uniform(3);
+      clock.AdvanceBy(static_cast<Micros>(rng.Uniform(50)));
+      std::vector<ChangeEvent> evs(1 + rng.Uniform(3));
+      evs.back().csn = csn;
+      tracker.OnCommit(evs);
+      ref.emplace_back(csn, clock.NowMicros());
+    }
+    clock.AdvanceBy(100);
+    const Micros now = clock.NowMicros();
+    for (CSN v = 0; v <= csn + 2; ++v)
+      ASSERT_EQ(tracker.TimeLagMicros(v), LinearLag(ref, v, now)) << v;
+    // Everything visible; and a visible CSN older than the oldest sample,
+    // which reports the oldest sample's age.
+    EXPECT_EQ(tracker.TimeLagMicros(csn), 0);
+    EXPECT_EQ(tracker.TimeLagMicros(kMaxCSN), 0);
+    EXPECT_EQ(tracker.TimeLagMicros(0), now - ref.front().second);
+  }
+}
+
+TEST(FreshnessTrackerTest, LookupPastTheSampleWindow) {
+  VirtualClock clock;
+  FreshnessTracker tracker(&clock);
+  std::vector<ChangeEvent> evs(1);
+  const size_t total = FreshnessTracker::kMaxSamples + 50;
+  for (size_t i = 1; i <= total; ++i) {
+    clock.AdvanceTo(static_cast<Micros>(i));
+    evs[0].csn = static_cast<CSN>(i);
+    tracker.OnCommit(evs);
+  }
+  clock.AdvanceTo(static_cast<Micros>(total + 10));
+  // The oldest 50 samples were dropped: a visible CSN older than the oldest
+  // kept sample reports that sample's age.
+  EXPECT_EQ(tracker.TimeLagMicros(3), static_cast<Micros>(total + 10 - 51));
+  EXPECT_EQ(tracker.TimeLagMicros(100), static_cast<Micros>(total + 10 - 101));
+  EXPECT_EQ(tracker.TimeLagMicros(static_cast<CSN>(total)), 0);
 }
 
 }  // namespace

@@ -48,7 +48,7 @@ Row MakeRow(Key id, int64_t v) { return Row{Value(id), Value(v)}; }
 TEST(ThreadSafetyRegressionTest, SyncStatsReadRacesMerge) {
   TransactionManager mgr;
   MvccRowStore rows(1, KvSchema(), &mgr, nullptr);
-  auto delta = std::make_unique<InMemoryDeltaStore>();
+  auto delta = std::make_unique<InMemoryDeltaStore>(KvSchema());
   InMemoryDeltaStore* delta_ptr = delta.get();
   ColumnTable table(KvSchema());
   DataSynchronizer sync(
@@ -57,7 +57,9 @@ TEST(ThreadSafetyRegressionTest, SyncStatsReadRacesMerge) {
   struct Router : ChangeSink {
     InMemoryDeltaStore* d;
     void OnCommit(const std::vector<ChangeEvent>& evs) override {
-      d->AppendBatch(evs, 1);
+      ForEachTableBatch(evs, [&](uint32_t, TableEvents te) {
+        d->AppendBatch(te);
+      });
     }
   } router;
   router.d = delta_ptr;

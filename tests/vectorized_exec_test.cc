@@ -200,7 +200,8 @@ TEST(BatchTest, FilterBatchMatchesPredicateEval) {
 // carrying updates, a delete, and inserts — the full HTAP union shape.
 class VectorizedScanTest : public ::testing::Test {
  protected:
-  VectorizedScanTest() : table_(TestSchema()), pool_(4, "vec-ap") {
+  VectorizedScanTest()
+      : table_(TestSchema()), delta_(TestSchema()), pool_(4, "vec-ap") {
     std::vector<Row> batch;
     for (Key id = 0; id < 512; ++id) {
       batch.push_back(TRow(id, id % 13, id % 2 ? "odd" : "even", id * 0.25));
