@@ -1,8 +1,10 @@
 // Radix-partitioned parallel hash join scaling curve.
 //
 // Joins a ~2M-row probe side against a ~1M-row build side at 1/2/4/8
-// workers over the engine-style AP pool, verifying every parallel result is
-// byte-identical to the serial join. Emits one JSON line per point so the
+// workers over the engine-style AP pool — the HashJoinPairsKeys kernel
+// over keys extracted once from the inputs' ColumnBatches, as the query
+// runner's join step runs it — verifying every parallel pair set is
+// identical to the serial join's. Emits one JSON line per point so the
 // curve can be plotted / regression-tracked (same shape as
 // bench_parallel_scan):
 //
@@ -11,20 +13,22 @@
 //
 // A second section sweeps the grace join's spill budget (DESIGN.md §9) at a
 // fixed thread count, shrinking the budget from "everything resident" to
-// 1/16 of the build footprint and reporting the join-time / spill-volume
-// curve, one JSON line per point:
+// 1/16 of the build footprint (EstimateBatchRowBytes, the Row::MemoryBytes
+// formula) and reporting the join-time / spill-volume curve, one JSON line
+// per point:
 //
 //   {"bench":"grace_join","threads":4,"budget_bytes":...,"join_ms":...,
 //    "partitions_spilled":...,"spill_bytes_written":...,
 //    "spill_bytes_read":...,"max_recursion":...}
 //
-// A third section compares the row and batch join probes (DESIGN.md §13)
-// over the same ColumnTables, whose low-cardinality string join keys
-// dictionary-encode: the row side scans to Rows and extracts keys from
-// boxed Values, the batch side scans to ColumnBatches and extracts keys
-// straight off the typed vectors; both probe the identical
-// HashJoinPairsKeys kernel and are pair-for-pair identity-checked. One JSON
-// line:
+// A third section compares a row-image and the batch join probe (DESIGN.md
+// §13) over the same ColumnTables, whose low-cardinality string join keys
+// dictionary-encode: the row route flattens a full-width scan to Rows and
+// extracts keys from the boxed Values here in the bench (the shape of a
+// row-at-a-time join), the batch route scans only the key column to
+// ColumnBatches and extracts keys straight off the typed vectors; both
+// probe the identical HashJoinPairsKeys kernel and are pair-for-pair
+// identity-checked. One JSON line:
 //
 //   {"bench":"batch_join","threads":1,"build_rows":...,"probe_rows":...,
 //    "output_pairs":...,"row_probe_rows_per_sec":...,
@@ -51,6 +55,63 @@
 namespace htap {
 namespace bench {
 namespace {
+
+Schema BuildSchema() {
+  return Schema({{"id", Type::kInt64}, {"k", Type::kInt64},
+                 {"w", Type::kDouble}});
+}
+
+Schema ProbeSchema() {
+  return Schema({{"id", Type::kInt64}, {"fk", Type::kInt64},
+                 {"q", Type::kInt64}, {"v", Type::kDouble}});
+}
+
+/// One join input as the query runner holds it: typed batches plus the
+/// per-row footprints the grace budget weighs.
+struct JoinInput {
+  std::vector<ColumnBatch> batches;
+  std::vector<size_t> row_bytes;
+  size_t rows = 0;
+};
+
+JoinInput MakeInput(const std::vector<Row>& rows, const Schema& schema) {
+  JoinInput in;
+  in.batches = RowsToBatches(rows, schema, {}, 4096);
+  in.row_bytes = EstimateBatchRowBytes(in.batches);
+  in.rows = rows.size();
+  return in;
+}
+
+/// The row route's key extraction: one boxed Value per row, typed by the
+/// first non-NULL key (the inputs here hold one type per column).
+JoinKeyColumn RowKeys(const std::vector<Row>& rows, int col) {
+  JoinKeyColumn k;
+  const auto c = static_cast<size_t>(col);
+  for (const Row& r : rows)
+    if (!r.Get(c).is_null()) {
+      k.type = r.Get(c).type();
+      break;
+    }
+  k.valid.assign(rows.size(), 0);
+  k.hashes.assign(rows.size(), 0);
+  switch (k.type) {
+    case Type::kInt64: k.ints.assign(rows.size(), 0); break;
+    case Type::kDouble: k.doubles.assign(rows.size(), 0); break;
+    case Type::kString: k.strs.resize(rows.size()); break;
+  }
+  for (size_t i = 0; i < rows.size(); ++i) {
+    const Value& v = rows[i].Get(c);
+    if (v.is_null()) continue;
+    k.valid[i] = 1;
+    k.hashes[i] = v.Hash();
+    switch (k.type) {
+      case Type::kInt64: k.ints[i] = v.AsInt64(); break;
+      case Type::kDouble: k.doubles[i] = v.AsDouble(); break;
+      case Type::kString: k.strs[i] = v.AsString(); break;
+    }
+  }
+  return k;
+}
 
 // Batch-vs-row section: a fact -> dim join on a low-cardinality STRING key
 // so the key segments dictionary-encode (ChooseEncoding picks kDictionary
@@ -95,8 +156,8 @@ struct ProbeTiming {
   JoinStats stats;
 };
 
-/// Row route: materialize full Rows (the pre-§13 pipeline always carried
-/// every column to the join), extract keys from boxed Values, probe.
+/// Row route: materialize full Rows (a row-at-a-time join carries every
+/// column to the join), extract keys from boxed Values, probe.
 ProbeTiming RowProbe(const ColumnTable& probe, const ColumnTable& build,
                      int key_col, int reps) {
   ExecContext exec;
@@ -104,10 +165,12 @@ ProbeTiming RowProbe(const ColumnTable& probe, const ColumnTable& build,
   const Predicate all;
   for (int rep = -1; rep < reps; ++rep) {  // rep -1 = warmup
     Stopwatch sw;
-    const auto build_rows = ScanHtap(build, nullptr, kMaxCSN, all, {});
-    const auto probe_rows = ScanHtap(probe, nullptr, kMaxCSN, all, {});
-    const auto build_keys = ExtractJoinKeys(build_rows, key_col);
-    const auto probe_keys = ExtractJoinKeys(probe_rows, key_col);
+    const auto build_rows =
+        BatchesToRows(ScanHtapBatches(build, nullptr, kMaxCSN, all, {}, exec));
+    const auto probe_rows =
+        BatchesToRows(ScanHtapBatches(probe, nullptr, kMaxCSN, all, {}, exec));
+    const auto build_keys = RowKeys(build_rows, key_col);
+    const auto probe_keys = RowKeys(probe_rows, key_col);
     t.stats = JoinStats{};
     t.pairs = HashJoinPairsKeys(probe_keys, build_keys, exec, &t.stats);
     if (rep >= 0) t.sec += sw.ElapsedSeconds();
@@ -146,8 +209,11 @@ struct Point {
   JoinStats stats;
 };
 
-Point RunPoint(const std::vector<Row>& probe, const std::vector<Row>& build,
-               size_t threads, int reps, const std::vector<Row>* reference,
+/// probe.fk = build.id through the HashJoinPairsKeys kernel, timed alone:
+/// the keys are extracted off the batches once per point (a serial scan-
+/// edge pass the curve would only flatten).
+Point RunPoint(const JoinInput& probe, const JoinInput& build, size_t threads,
+               int reps, const JoinPairs* reference,
                size_t spill_budget = 0) {
   std::unique_ptr<ThreadPool> pool;
   ExecContext exec;
@@ -158,10 +224,13 @@ Point RunPoint(const std::vector<Row>& probe, const std::vector<Row>& build,
   }
   exec.join_spill_budget_bytes = spill_budget;
   Point p;
-  std::vector<Row> out;
+  JoinPairs out;
+  const JoinKeyColumn probe_keys = ExtractJoinKeys(probe.batches, 1);
+  const JoinKeyColumn build_keys = ExtractJoinKeys(build.batches, 0);
   for (int rep = -1; rep < reps; ++rep) {  // rep -1 = warmup
     Stopwatch sw;
-    out = HashJoin(probe, build, 1, 0, exec, &p.stats);
+    out = HashJoinPairsKeys(probe_keys, build_keys, exec, &p.stats,
+                            spill_budget > 0 ? &build.row_bytes : nullptr);
     if (rep >= 0) p.sec += sw.ElapsedSeconds();
   }
   if (reference != nullptr && out != *reference) {
@@ -186,19 +255,27 @@ int main(int argc, char** argv) {
   const size_t probe_rows = 2 * build_rows;
   const int reps = smoke ? 1 : 3;
 
-  std::vector<Row> build;
-  build.reserve(build_rows);
-  for (size_t i = 0; i < build_rows; ++i)
-    build.push_back(Row{Value(static_cast<int64_t>(i)),
-                        Value(static_cast<int64_t>(i % 23)),
-                        Value(1.0 + static_cast<double>(i % 100))});
-  std::vector<Row> probe;
-  probe.reserve(probe_rows);
-  for (size_t i = 0; i < probe_rows; ++i)
-    probe.push_back(Row{Value(static_cast<int64_t>(i)),
-                        Value(static_cast<int64_t>((i * 7) % build_rows)),
-                        Value(static_cast<int64_t>(1 + i % 10)),
-                        Value(static_cast<double>(i % 997) * 0.5)});
+  JoinInput build;
+  {
+    std::vector<Row> rows;
+    rows.reserve(build_rows);
+    for (size_t i = 0; i < build_rows; ++i)
+      rows.push_back(Row{Value(static_cast<int64_t>(i)),
+                         Value(static_cast<int64_t>(i % 23)),
+                         Value(1.0 + static_cast<double>(i % 100))});
+    build = MakeInput(rows, BuildSchema());
+  }
+  JoinInput probe;
+  {
+    std::vector<Row> rows;
+    rows.reserve(probe_rows);
+    for (size_t i = 0; i < probe_rows; ++i)
+      rows.push_back(Row{Value(static_cast<int64_t>(i)),
+                         Value(static_cast<int64_t>((i * 7) % build_rows)),
+                         Value(static_cast<int64_t>(1 + i % 10)),
+                         Value(static_cast<double>(i % 997) * 0.5)});
+    probe = MakeInput(rows, ProbeSchema());
+  }
 
   std::printf("Radix-partitioned parallel hash join "
               "(%zu build rows, %zu probe rows, %d reps/point%s)\n",
@@ -206,7 +283,9 @@ int main(int argc, char** argv) {
   std::printf("host hardware_concurrency = %u\n\n",
               std::thread::hardware_concurrency());
 
-  const auto reference = HashJoin(probe, build, 1, 0);
+  const JoinPairs reference =
+      HashJoinPairsKeys(ExtractJoinKeys(probe.batches, 1),
+                        ExtractJoinKeys(build.batches, 0), ExecContext{});
   const Point serial = RunPoint(probe, build, 1, reps, &reference);
 
   std::printf("%8s | %10s | %10s | %13s | %8s\n", "threads", "parts",
@@ -223,14 +302,15 @@ int main(int argc, char** argv) {
     std::printf("{\"bench\":\"parallel_join\",\"threads\":%zu,"
                 "\"build_rows\":%zu,\"probe_rows\":%zu,\"output_rows\":%zu,"
                 "\"probe_rows_per_sec\":%.0f,\"speedup\":%.3f}\n",
-                threads, build.size(), probe.size(), p.stats.output_rows, rps,
+                threads, build.rows, probe.rows, p.stats.output_rows, rps,
                 speedup);
   }
   PrintRule(64);
 
   // Grace (out-of-core) sweep: same join, shrinking spill budget. Every
   // point is identity-checked against the unspilled serial reference.
-  const size_t build_bytes = EstimateRowsBytes(build);
+  size_t build_bytes = 0;
+  for (size_t b : build.row_bytes) build_bytes += b;
   const size_t grace_threads = 4;
   std::vector<size_t> budgets;
   if (smoke)

@@ -1,10 +1,11 @@
 // Morsel-driven parallel scan & aggregation scaling curve.
 //
-// Measures ScanHtap (column scan + delta union, double-typed filter) and
-// HashAggregate (partial tables + merge) throughput at 1/2/4/8 workers over
-// the engine-style AP pool, verifying that every parallel result is
-// identical to the serial one. Emits one JSON line per point so the curve
-// can be plotted / regression-tracked:
+// Measures ScanHtapBatches (column scan + delta union, double-typed
+// filter) and HashAggregate over the scan's batches (partial tables +
+// merge) throughput at 1/2/4/8 workers over the engine-style AP pool,
+// verifying that every parallel result is identical to the serial one.
+// Emits one JSON line per point so the curve can be plotted /
+// regression-tracked:
 //
 //   {"bench":"parallel_scan","threads":4,"scan_rows_per_sec":...,
 //    "scan_speedup":...,"agg_rows_per_sec":...,"agg_speedup":...}
@@ -14,8 +15,8 @@
 // the identity checks are meaningful.
 //
 // A second table sweeps HashAggregate over group counts (1, 16, 4k, 256k)
-// with int64 and string keys — batch input serial and at 4 workers, and
-// row input serial — and prints rows/s per point. It is informational: the
+// with int64 and string keys — serial and at 4 workers — and prints rows/s
+// per point. It is informational: the
 // low counts are the CH-query shape (a handful of groups, hot in cache),
 // the high ones grow the group table to one group per row.
 
@@ -58,13 +59,13 @@ Point RunPoint(const ColumnTable& table, const InMemoryDeltaStore& delta,
                                      AggSpec::Max(1, "mx")};
 
   Point p;
-  std::vector<Row> rows;
+  std::vector<ColumnBatch> batches;
   for (int rep = -1; rep < kReps; ++rep) {  // rep -1 = warmup
     Stopwatch sw;
-    rows = ScanHtap(table, &delta, kMaxCSN - 1, pred, {}, exec, nullptr);
+    batches = ScanHtapBatches(table, &delta, kMaxCSN - 1, pred, {}, exec);
     if (rep >= 0) p.scan_sec += sw.ElapsedSeconds();
   }
-  if (rows != serial_scan) {
+  if (BatchesToRows(batches) != serial_scan) {
     std::fprintf(stderr, "FATAL: parallel scan result differs at %zu threads\n",
                  threads);
     std::abort();
@@ -72,7 +73,7 @@ Point RunPoint(const ColumnTable& table, const InMemoryDeltaStore& delta,
   std::vector<Row> agg;
   for (int rep = -1; rep < kReps; ++rep) {
     Stopwatch sw;
-    agg = HashAggregate(rows, {2}, aggs, exec);
+    agg = HashAggregate(batches, {2}, aggs, exec);
     if (rep >= 0) p.agg_sec += sw.ElapsedSeconds();
   }
   auto less = [](const Row& a, const Row& b) {
@@ -113,11 +114,10 @@ std::vector<ColumnBatch> SweepBatches(size_t groups, Type key_type) {
   return batches;
 }
 
-/// Mean rows/s of the aggregate over batches or rows, kReps timed runs
-/// (one warmup).
-template <typename Input>
-double AggRowsPerSec(const Input& input, const ExecContext& exec,
-                     size_t want_groups) {
+/// Mean rows/s of the aggregate over `input`, kReps timed runs (one
+/// warmup).
+double AggRowsPerSec(const std::vector<ColumnBatch>& input,
+                     const ExecContext& exec, size_t want_groups) {
   const std::vector<AggSpec> aggs = {AggSpec::Count("n"), AggSpec::Sum(2, "s"),
                                      AggSpec::Max(1, "mx")};
   double sec = 0;
@@ -141,27 +141,23 @@ void RunGroupSweep() {
   par.max_parallelism = 4;
   std::printf("\nAggregate over %zu rows by group count (COUNT, SUM, MAX; "
               "%d reps/point)\n\n", kRows, kReps);
-  std::printf("%8s | %8s | %16s | %16s | %16s\n", "key", "groups",
-              "serial Mrows/s", "4-worker Mrows/s", "row-input Mrows/s");
-  PrintRule(77);
+  std::printf("%8s | %8s | %16s | %16s\n", "key", "groups",
+              "serial Mrows/s", "4-worker Mrows/s");
+  PrintRule(58);
   for (Type key_type : {Type::kInt64, Type::kString}) {
     for (size_t groups : {size_t{1}, size_t{16}, size_t{4096}, kRows}) {
       const auto batches = SweepBatches(groups, key_type);
       const double serial = AggRowsPerSec(batches, ExecContext{}, groups);
       const double parallel = AggRowsPerSec(batches, par, groups);
-      const double rows =
-          AggRowsPerSec(BatchesToRows(batches), ExecContext{}, groups);
-      std::printf("%8s | %8zu | %16.2f | %16.2f | %16.2f\n",
-                  TypeName(key_type), groups, serial / 1e6, parallel / 1e6,
-                  rows / 1e6);
+      std::printf("%8s | %8zu | %16.2f | %16.2f\n", TypeName(key_type),
+                  groups, serial / 1e6, parallel / 1e6);
       std::printf("{\"bench\":\"agg_group_sweep\",\"key\":\"%s\","
                   "\"groups\":%zu,\"serial_rows_per_sec\":%.0f,"
-                  "\"parallel4_rows_per_sec\":%.0f,"
-                  "\"row_input_rows_per_sec\":%.0f}\n",
-                  TypeName(key_type), groups, serial, parallel, rows);
+                  "\"parallel4_rows_per_sec\":%.0f}\n",
+                  TypeName(key_type), groups, serial, parallel);
     }
   }
-  PrintRule(77);
+  PrintRule(58);
 }
 
 }  // namespace
@@ -204,10 +200,12 @@ int main() {
   std::printf("host hardware_concurrency = %u\n\n",
               std::thread::hardware_concurrency());
 
-  const auto serial_scan = ScanHtap(table, &delta, kMaxCSN - 1,
-                                    Predicate::Ge(3, Value(10.0)), {});
+  const auto serial_batches =
+      ScanHtapBatches(table, &delta, kMaxCSN - 1,
+                      Predicate::Ge(3, Value(10.0)), {}, ExecContext{});
+  const auto serial_scan = BatchesToRows(serial_batches);
   const auto serial_agg = HashAggregate(
-      serial_scan, {2},
+      serial_batches, {2},
       {AggSpec::Count("n"), AggSpec::Sum(3, "s"), AggSpec::Max(1, "mx")});
   const Point serial = RunPoint(table, delta, 1, serial_scan, serial_agg);
 

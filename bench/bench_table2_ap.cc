@@ -46,9 +46,9 @@ TechniqueResult RunWith(DeltaT* delta, const ColumnTable& table,
   Stopwatch sw;
   const Predicate pred = Predicate::Ge(0, Value(static_cast<int64_t>(0)));
   ScanStats stats;
-  const auto rows =
-      ScanHtap(table, union_delta ? delta : nullptr, kMaxCSN - 1, pred,
-               {0}, &stats);
+  const auto rows = BatchesToRows(
+      ScanHtapBatches(table, union_delta ? delta : nullptr, kMaxCSN - 1, pred,
+                      {0}, ExecContext{}, &stats));
   out.query_ms = sw.ElapsedSeconds() * 1000.0;
   for (const Row& r : rows)
     if (r.Get(0).AsInt64() >= static_cast<int64_t>(kBaseRows))

@@ -111,8 +111,9 @@ void BM_ColumnScanFiltered(benchmark::State& state) {
   table.AppendBatch(rows, 1);
   const Predicate pred = Predicate::Eq(1, Value(int64_t{42}));
   for (auto _ : state) {
-    auto out = ScanHtap(table, nullptr, kMaxCSN - 1, pred, {0});
-    benchmark::DoNotOptimize(out.size());
+    auto out = ScanHtapBatches(table, nullptr, kMaxCSN - 1, pred, {0},
+                               ExecContext{});
+    benchmark::DoNotOptimize(TotalActiveRows(out));
   }
   state.SetItemsProcessed(state.iterations() * 100000);
 }
@@ -132,8 +133,9 @@ void BM_RowScanFiltered(benchmark::State& state) {
   mgr.Commit(txn.get());
   const Predicate pred = Predicate::Eq(1, Value(int64_t{42}));
   for (auto _ : state) {
-    auto out = ScanRowStore(store, mgr.CurrentSnapshot(), pred, {0});
-    benchmark::DoNotOptimize(out.size());
+    auto out = ScanRowStore(store, mgr.CurrentSnapshot(), pred, {0},
+                            ExecContext{});
+    benchmark::DoNotOptimize(TotalActiveRows(out));
   }
   state.SetItemsProcessed(state.iterations() * 100000);
 }

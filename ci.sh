@@ -11,7 +11,7 @@
 #   rank   — -DHTAP_LOCK_RANK=ON: full ctest under the runtime lock-order
 #            checker, including the lock_rank death tests
 #   asan   — ASan+UBSan over the memory-heavy executor/aggregate/join/spill
-#            tests,
+#            tests and the reference executor's plan matrix,
 #            the sync/delta tests (the scan's delta overlay, the merge's
 #            drain/apply and its typed gather), the typed stats path in
 #            optimizer_test, and the EBR/OLC concurrency tests
@@ -149,7 +149,8 @@ suite_asan() {
   local ASAN_TESTS=(executor_test aggregate_test parallel_scan_test
                     parallel_join_test
                     grace_join_test columnar_test vectorized_exec_test
-                    vectorized_join_test encoding_property_test
+                    vectorized_join_test reference_executor_test
+                    encoding_property_test
                     sync_test delta_test merge_equivalence_test
                     optimizer_test
                     thread_safety_regression_test
@@ -168,6 +169,7 @@ suite_tsan() {
                     grace_join_test
                     columnar_test executor_test common_test sync_test
                     delta_test scheduler_test vectorized_exec_test vectorized_join_test
+                    reference_executor_test
                     thread_safety_regression_test
                     ebr_test tp_scaling_test
                     sim_test raft_test dist_db_test)

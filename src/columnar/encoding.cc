@@ -1,6 +1,9 @@
 #include "columnar/encoding.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <type_traits>
 #include <unordered_map>
 
 namespace htap {
@@ -45,13 +48,23 @@ uint64_t UnpackBits(const std::vector<uint64_t>& packed, uint8_t width,
   return v & mask;
 }
 
+/// Run equality: doubles compare bitwise, so -0.0 never joins a run of
+/// 0.0 (== would merge them and read -0.0 back as 0.0).
+template <typename T>
+bool SameValue(const T& a, const T& b) {
+  if constexpr (std::is_same_v<T, double>)
+    return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
+  else
+    return a == b;
+}
+
 template <typename T>
 void EncodeRleTyped(const std::vector<T>& vals, std::vector<T>* run_vals,
                     std::vector<uint32_t>* run_ends) {
   size_t i = 0;
   while (i < vals.size()) {
     size_t j = i + 1;
-    while (j < vals.size() && vals[j] == vals[i]) ++j;
+    while (j < vals.size() && SameValue(vals[j], vals[i])) ++j;
     run_vals->push_back(vals[i]);
     run_ends->push_back(static_cast<uint32_t>(j));
     i = j;

@@ -117,32 +117,7 @@ ColumnTable* DeltaMainHtapEngine::main(uint32_t table_id) {
   return it == tables_.end() ? nullptr : it->second->main.get();
 }
 
-Result<std::vector<Row>> DeltaMainHtapEngine::Scan(const ScanRequest& req,
-                                                   ScanStats* stats,
-                                                   std::string* path_desc) {
-  TableState* ts;
-  {
-    MutexLock lk(&tables_mu_);
-    const auto it = tables_.find(req.table->id);
-    if (it == tables_.end()) return Status::NotFound("no such table");
-    ts = it->second.get();
-  }
-  // The column store IS the primary store here: everything except a forced
-  // row scan goes Main + L2 + L1.
-  if (req.path == PathHint::kForceRow) {
-    if (path_desc != nullptr) *path_desc = "delta-row-scan";
-    return ScanRowStore(*layer_.store(req.table->id),
-                        layer_.txn_mgr()->CurrentSnapshot(), *req.pred,
-                        req.projection, ap_.ctx());
-  }
-  if (path_desc != nullptr) *path_desc = "main+l2+l1-scan";
-  const DeltaReader* delta = req.require_fresh ? ts->delta.get() : nullptr;
-  return ScanHtap(*ts->main, delta,
-                  layer_.txn_mgr()->CurrentSnapshot().begin_csn, *req.pred,
-                  req.projection, ap_.ctx(), stats);
-}
-
-Result<std::vector<ColumnBatch>> DeltaMainHtapEngine::BatchScan(
+Result<std::vector<ColumnBatch>> DeltaMainHtapEngine::Scan(
     const ScanRequest& req, ScanStats* stats, std::string* path_desc) {
   TableState* ts;
   {
@@ -151,30 +126,26 @@ Result<std::vector<ColumnBatch>> DeltaMainHtapEngine::BatchScan(
     if (it == tables_.end()) return Status::NotFound("no such table");
     ts = it->second.get();
   }
-  // The column store IS the primary store: only a forced row scan declines.
-  if (req.path == PathHint::kForceRow)
-    return Status::NotSupported("forced row scan");
+  const Snapshot snap = layer_.txn_mgr()->CurrentSnapshot();
+  // The column store IS the primary store here: everything except a forced
+  // row scan goes Main + L2 + L1.
+  if (req.path == PathHint::kForceRow) {
+    if (path_desc != nullptr) *path_desc = "delta-row-scan";
+    return ScanRowStore(*layer_.store(req.table->id), snap, *req.pred,
+                        req.projection, ap_.ctx());
+  }
   if (path_desc != nullptr) *path_desc = "main+l2+l1-scan";
   const DeltaReader* delta = req.require_fresh ? ts->delta.get() : nullptr;
-  return ScanHtapBatches(*ts->main, delta,
-                         layer_.txn_mgr()->CurrentSnapshot().begin_csn,
-                         *req.pred, req.projection, ap_.ctx(), stats);
+  return ScanHtapBatches(*ts->main, delta, snap.begin_csn, *req.pred,
+                         req.projection, ap_.ctx(), stats);
 }
 
 Result<QueryResult> DeltaMainHtapEngine::Execute(const QueryPlan& plan,
                                                  QueryExecInfo* info) {
-  const ScanFn scan = [this](const ScanRequest& req, ScanStats* stats,
-                             std::string* desc) {
-    return Scan(req, stats, desc);
-  };
-  BatchScanFn batch_scan;
-  if (ap_.vectorized)
-    batch_scan = [this](const ScanRequest& req, ScanStats* stats,
-                        std::string* desc) {
-      return BatchScan(req, stats, desc);
-    };
-  return RunPlan(plan, *catalog_, scan, info,
-                 ap_.ctx(layer_.txn_mgr()->LastCommittedCsn()), batch_scan);
+  return RunPlan(plan, *catalog_,
+                 [this](const ScanRequest& req, ScanStats* stats,
+                        std::string* desc) { return Scan(req, stats, desc); },
+                 info, ap_.ctx(layer_.txn_mgr()->LastCommittedCsn()));
 }
 
 Status DeltaMainHtapEngine::ForceSync(const TableInfo& tbl) {

@@ -372,9 +372,9 @@ Result<DiskHtapEngine::ImcsAccess> DiskHtapEngine::ResolveAccess(
   return out;
 }
 
-Result<std::vector<Row>> DiskHtapEngine::Scan(const ScanRequest& req,
-                                              ScanStats* stats,
-                                              std::string* path_desc) {
+Result<std::vector<ColumnBatch>> DiskHtapEngine::Scan(const ScanRequest& req,
+                                                      ScanStats* stats,
+                                                      std::string* path_desc) {
   TableState* ts;
   {
     MutexLock lk(&tables_mu_);
@@ -384,88 +384,39 @@ Result<std::vector<Row>> DiskHtapEngine::Scan(const ScanRequest& req,
   }
   advisor_.RecordAccess(req.table->name, TouchedColumns(req));
   HTAP_ASSIGN_OR_RETURN(ImcsAccess acc, ResolveAccess(req, ts));
-
-  if (acc.path == AccessPath::kRowIndexLookup && acc.pk_point) {
-    if (path_desc != nullptr) *path_desc = "row-index-lookup";
-    std::vector<Row> out;
-    Row row;
-    if (layer_.Read(*req.table, acc.pk_key, &row).ok() &&
-        req.pred->Eval(row)) {
-      if (req.projection.empty()) {
-        out.push_back(std::move(row));
-      } else {
-        Row proj;
-        for (int c : req.projection)
-          proj.Append(row.Get(static_cast<size_t>(c)));
-        out.push_back(std::move(proj));
-      }
-    }
-    return out;
-  }
 
   if (acc.path == AccessPath::kColumnScan && acc.imcs_ready) {
     if (path_desc != nullptr) *path_desc = "imcs-pushdown";
     ProjectingDeltaReader delta(ts->delta.get(), acc.loaded);
-    return ScanHtap(*acc.imcs, req.require_fresh ? &delta : nullptr,
-                    layer_.txn_mgr()->LastCommittedCsn(), acc.pred, acc.proj,
-                    ap_.ctx(), stats);
+    return ScanHtapBatches(*acc.imcs, req.require_fresh ? &delta : nullptr,
+                           layer_.txn_mgr()->LastCommittedCsn(), acc.pred,
+                           acc.proj, ap_.ctx(), stats);
   }
 
+  BatchBuilder out(req.table->schema, req.projection, ap_.batch_rows);
+  if (acc.path == AccessPath::kRowIndexLookup && acc.pk_point) {
+    if (path_desc != nullptr) *path_desc = "row-index-lookup";
+    Row row;
+    if (layer_.Read(*req.table, acc.pk_key, &row).ok() &&
+        req.pred->Eval(row))
+      out.Add(row);
+    return out.Finish();
+  }
   // Row fallback: scan the disk heap through the buffer pool.
   if (path_desc != nullptr) *path_desc = "disk-heap-scan";
-  std::vector<Row> out;
   HTAP_RETURN_NOT_OK(ts->heap->Scan([&](Key, const Row& row) {
-    if (req.pred->Eval(row)) {
-      if (req.projection.empty()) {
-        out.push_back(row);
-      } else {
-        Row proj;
-        for (int c : req.projection)
-          proj.Append(row.Get(static_cast<size_t>(c)));
-        out.push_back(std::move(proj));
-      }
-    }
+    if (req.pred->Eval(row)) out.Add(row);
     return true;
   }));
-  return out;
-}
-
-Result<std::vector<ColumnBatch>> DiskHtapEngine::BatchScan(
-    const ScanRequest& req, ScanStats* stats, std::string* path_desc) {
-  TableState* ts;
-  {
-    MutexLock lk(&tables_mu_);
-    const auto it = tables_.find(req.table->id);
-    if (it == tables_.end()) return Status::NotFound("no such table");
-    ts = it->second.get();
-  }
-  HTAP_ASSIGN_OR_RETURN(ImcsAccess acc, ResolveAccess(req, ts));
-  if (acc.path != AccessPath::kColumnScan || !acc.imcs_ready)
-    return Status::NotSupported("IMCS cannot serve this scan");
-  // Record the access only once it is certain this path serves the query;
-  // a decline falls back to Scan, which records unconditionally.
-  advisor_.RecordAccess(req.table->name, TouchedColumns(req));
-  if (path_desc != nullptr) *path_desc = "imcs-pushdown";
-  ProjectingDeltaReader delta(ts->delta.get(), acc.loaded);
-  return ScanHtapBatches(*acc.imcs, req.require_fresh ? &delta : nullptr,
-                         layer_.txn_mgr()->LastCommittedCsn(), acc.pred,
-                         acc.proj, ap_.ctx(), stats);
+  return out.Finish();
 }
 
 Result<QueryResult> DiskHtapEngine::Execute(const QueryPlan& plan,
                                             QueryExecInfo* info) {
-  const ScanFn scan = [this](const ScanRequest& req, ScanStats* stats,
-                             std::string* desc) {
-    return Scan(req, stats, desc);
-  };
-  BatchScanFn batch_scan;
-  if (ap_.vectorized)
-    batch_scan = [this](const ScanRequest& req, ScanStats* stats,
-                        std::string* desc) {
-      return BatchScan(req, stats, desc);
-    };
-  return RunPlan(plan, *catalog_, scan, info,
-                 ap_.ctx(layer_.txn_mgr()->LastCommittedCsn()), batch_scan);
+  return RunPlan(plan, *catalog_,
+                 [this](const ScanRequest& req, ScanStats* stats,
+                        std::string* desc) { return Scan(req, stats, desc); },
+                 info, ap_.ctx(layer_.txn_mgr()->LastCommittedCsn()));
 }
 
 Status DiskHtapEngine::ForceSync(const TableInfo& tbl) {

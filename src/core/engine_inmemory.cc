@@ -175,9 +175,8 @@ AccessPath InMemoryHtapEngine::ResolvePath(const ScanRequest& req,
   return ChooseAccessPath(CostModel{}, q).path;
 }
 
-Result<std::vector<Row>> InMemoryHtapEngine::Scan(const ScanRequest& req,
-                                                  ScanStats* stats,
-                                                  std::string* path_desc) {
+Result<std::vector<ColumnBatch>> InMemoryHtapEngine::Scan(
+    const ScanRequest& req, ScanStats* stats, std::string* path_desc) {
   TableState* ts;
   {
     MutexLock lk(&tables_mu_);
@@ -196,64 +195,26 @@ Result<std::vector<Row>> InMemoryHtapEngine::Scan(const ScanRequest& req,
   const MvccRowStore* store = layer_.store(req.table->id);
 
   if (path == AccessPath::kRowIndexLookup && pk_point) {
-    std::vector<Row> out;
+    BatchBuilder out(req.table->schema, req.projection, ap_.batch_rows);
     Row row;
-    const Status st = store->Get(snap, pk_key, &row);
-    if (st.ok() && req.pred->Eval(row)) {
-      if (req.projection.empty()) {
-        out.push_back(std::move(row));
-      } else {
-        Row proj;
-        for (int c : req.projection) proj.Append(row.Get(static_cast<size_t>(c)));
-        out.push_back(std::move(proj));
-      }
-    }
-    return out;
+    if (store->Get(snap, pk_key, &row).ok() && req.pred->Eval(row))
+      out.Add(row);
+    return out.Finish();
   }
   if (path == AccessPath::kColumnScan) {
     const DeltaReader* delta = req.require_fresh ? ts->delta.get() : nullptr;
-    return ScanHtap(*ts->columns, delta, snap.begin_csn, *req.pred,
-                    req.projection, ap_.ctx(), stats);
+    return ScanHtapBatches(*ts->columns, delta, snap.begin_csn, *req.pred,
+                           req.projection, ap_.ctx(), stats);
   }
   return ScanRowStore(*store, snap, *req.pred, req.projection, ap_.ctx());
 }
 
-Result<std::vector<ColumnBatch>> InMemoryHtapEngine::BatchScan(
-    const ScanRequest& req, ScanStats* stats, std::string* path_desc) {
-  TableState* ts;
-  {
-    MutexLock lk(&tables_mu_);
-    const auto it = tables_.find(req.table->id);
-    if (it == tables_.end()) return Status::NotFound("no such table");
-    ts = it->second.get();
-  }
-  bool pk_point = false;
-  Key pk_key = 0;
-  if (ResolvePath(req, ts, &pk_point, &pk_key) != AccessPath::kColumnScan)
-    return Status::NotSupported("row access path");
-  advisor_.RecordAccess(req.table->name, TouchedColumns(req));
-  if (path_desc != nullptr)
-    *path_desc = AccessPathName(AccessPath::kColumnScan);
-  const Snapshot snap = layer_.txn_mgr()->CurrentSnapshot();
-  const DeltaReader* delta = req.require_fresh ? ts->delta.get() : nullptr;
-  return ScanHtapBatches(*ts->columns, delta, snap.begin_csn, *req.pred,
-                         req.projection, ap_.ctx(), stats);
-}
-
 Result<QueryResult> InMemoryHtapEngine::Execute(const QueryPlan& plan,
                                                 QueryExecInfo* info) {
-  const ScanFn scan = [this](const ScanRequest& req, ScanStats* stats,
-                             std::string* desc) {
-    return Scan(req, stats, desc);
-  };
-  BatchScanFn batch_scan;
-  if (ap_.vectorized)
-    batch_scan = [this](const ScanRequest& req, ScanStats* stats,
-                        std::string* desc) {
-      return BatchScan(req, stats, desc);
-    };
-  return RunPlan(plan, *catalog_, scan, info,
-                 ap_.ctx(layer_.txn_mgr()->LastCommittedCsn()), batch_scan);
+  return RunPlan(plan, *catalog_,
+                 [this](const ScanRequest& req, ScanStats* stats,
+                        std::string* desc) { return Scan(req, stats, desc); },
+                 info, ap_.ctx(layer_.txn_mgr()->LastCommittedCsn()));
 }
 
 Status InMemoryHtapEngine::ForceSync(const TableInfo& tbl) {

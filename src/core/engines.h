@@ -40,8 +40,6 @@ struct ApScanRuntime {
   std::string spill_dir;
   uint64_t stats_staleness = 65536;
   size_t batch_rows = 4096;  // rows per ColumnBatch (DESIGN.md §12)
-  bool vectorized = true;    // engine offers its batch scan to the runner
-  bool vectorized_join = true;  // batch-native joins (DESIGN.md §13)
 
   explicit ApScanRuntime(const DatabaseOptions& options)
       : threads(EffectiveParallelScanThreads(options)),
@@ -49,9 +47,7 @@ struct ApScanRuntime {
         spill_budget(options.join_spill_budget_bytes),
         spill_dir(options.join_spill_dir),
         stats_staleness(options.stats_staleness_csns),
-        batch_rows(options.vectorized_batch_rows),
-        vectorized(options.vectorized_exec),
-        vectorized_join(options.vectorized_join) {
+        batch_rows(options.vectorized_batch_rows) {
     if (threads > 1) pool = std::make_unique<ThreadPool>(threads, "ap-scan");
   }
 
@@ -67,7 +63,6 @@ struct ApScanRuntime {
     exec.committed_csn = committed_csn;
     exec.stats_staleness_csns = stats_staleness;
     exec.batch_rows = batch_rows;
-    exec.vectorized_join = vectorized_join;
     return exec;
   }
 };
@@ -118,15 +113,13 @@ class InMemoryHtapEngine : public HtapEngine, public ChangeSink {
     uint64_t stats_at_csn GUARDED_BY(stats_mu) = 0;
   };
 
-  Result<std::vector<Row>> Scan(const ScanRequest& req, ScanStats* stats,
-                                std::string* path_desc);
-  /// Vectorized scan: serves only the column access path, as ColumnBatches
-  /// straight off the encoded segments; declines everything else with
-  /// NotSupported (the runner falls back to Scan).
-  Result<std::vector<ColumnBatch>> BatchScan(const ScanRequest& req,
-                                             ScanStats* stats,
-                                             std::string* path_desc);
-  /// The access-path decision shared by Scan and BatchScan.
+  /// The runner's scan: column batches off the encoded segments on the
+  /// column path, the PK point lookup or the MVCC row store's batches
+  /// otherwise.
+  Result<std::vector<ColumnBatch>> Scan(const ScanRequest& req,
+                                        ScanStats* stats,
+                                        std::string* path_desc);
+  /// The cost-based access-path decision.
   AccessPath ResolvePath(const ScanRequest& req, TableState* ts,
                          bool* pk_point, Key* pk_key);
   /// Refreshes the sampled row-store stats if stale and returns a copy.
@@ -190,12 +183,11 @@ class DeltaMainHtapEngine : public HtapEngine, public ChangeSink {
     std::unique_ptr<DataSynchronizer> sync;
   };
 
-  Result<std::vector<Row>> Scan(const ScanRequest& req, ScanStats* stats,
-                                std::string* path_desc);
-  /// Vectorized scan over Main + delta; declines only a forced row scan.
-  Result<std::vector<ColumnBatch>> BatchScan(const ScanRequest& req,
-                                             ScanStats* stats,
-                                             std::string* path_desc);
+  /// The runner's scan: Main + L2 + L1 as column batches; a forced row
+  /// scan reads the MVCC row store's batches.
+  Result<std::vector<ColumnBatch>> Scan(const ScanRequest& req,
+                                        ScanStats* stats,
+                                        std::string* path_desc);
 
   const DatabaseOptions options_;
   Catalog* catalog_;
@@ -285,15 +277,14 @@ class DiskHtapEngine : public HtapEngine, public ChangeSink {
     std::vector<int> proj;    // remapped projection
   };
 
-  Result<std::vector<Row>> Scan(const ScanRequest& req, ScanStats* stats,
-                                std::string* path_desc);
-  /// Vectorized scan: serves only when the pinned IMCS generation holds
-  /// every referenced column (NotSupported otherwise — the survey's
-  /// "columns may not have been selected" caveat applies to batches too).
-  Result<std::vector<ColumnBatch>> BatchScan(const ScanRequest& req,
-                                             ScanStats* stats,
-                                             std::string* path_desc);
-  /// The path decision + IMCS pinning shared by Scan and BatchScan.
+  /// The runner's scan: the IMCS when the pinned generation holds every
+  /// referenced column, the PK point lookup or the disk heap otherwise
+  /// (the survey's "columns may not have been selected" caveat) — all as
+  /// column batches.
+  Result<std::vector<ColumnBatch>> Scan(const ScanRequest& req,
+                                        ScanStats* stats,
+                                        std::string* path_desc);
+  /// The path decision + IMCS pinning.
   Result<ImcsAccess> ResolveAccess(const ScanRequest& req, TableState* ts);
   /// Drains the delta up to `target` into the current IMCS generation and
   /// (optionally) returns the synced generation for the caller to scan.
@@ -346,13 +337,11 @@ class DistributedHtapEngine : public HtapEngine {
   sim::SimEnv* env() { return &env_; }
 
  private:
-  Result<std::vector<Row>> Scan(const ScanRequest& req, ScanStats* stats,
-                                std::string* path_desc);
-  /// Vectorized learner scan: ColumnBatches straight off the shard
-  /// learners' column tables; declines only a forced row scan.
-  Result<std::vector<ColumnBatch>> BatchScan(const ScanRequest& req,
-                                             ScanStats* stats,
-                                             std::string* path_desc);
+  /// The runner's scan: column batches straight off the shard learners'
+  /// column tables (every path hint reads the learners).
+  Result<std::vector<ColumnBatch>> Scan(const ScanRequest& req,
+                                        ScanStats* stats,
+                                        std::string* path_desc);
 
   DatabaseOptions options_;
   Catalog* catalog_;

@@ -74,9 +74,9 @@ struct QueryExecInfo {
   std::string access_path;  // per AccessPathName or engine-specific
   ScanStats scan;
 
-  /// True when the base access ran the vectorized batch pipeline
-  /// (DESIGN.md §12) rather than row-at-a-time operators.
-  bool vectorized = false;
+  /// True when the query ran the vectorized batch pipeline (DESIGN.md
+  /// §12) — every query does; profiles keep the field for their readers.
+  bool vectorized = true;
 
   /// Aggregate over all executed joins (zero-initialized when the plan has
   /// none). Row/time/spill counters sum across steps; `partitions` is the

@@ -1,5 +1,7 @@
-// Shared plan execution: every engine supplies only a table-scan callback;
-// joins, aggregation, sorting, and output-schema construction are common.
+// Shared plan execution: every engine supplies only a table-scan callback
+// that returns column batches; joins, aggregation, sorting, and
+// output-schema construction are common, and run batch-at-a-time end to
+// end. Rows appear only in the QueryResult.
 
 #ifndef HTAP_CORE_QUERY_RUNNER_H_
 #define HTAP_CORE_QUERY_RUNNER_H_
@@ -20,34 +22,23 @@ struct ScanRequest {
   bool require_fresh = true;
 };
 
-/// Engine-supplied scan. Fills `stats`/`path_desc` (may be null).
-using ScanFn = std::function<Result<std::vector<Row>>(
+/// Engine-supplied scan: the rows `req` selects as ColumnBatches typed by
+/// the table schema narrowed to req.projection (DESIGN.md §12), whichever
+/// store serves them. Fills `stats`/`path_desc` (may be null).
+using ScanFn = std::function<Result<std::vector<ColumnBatch>>(
     const ScanRequest&, ScanStats* stats, std::string* path_desc)>;
 
-/// Engine-supplied vectorized scan (DESIGN.md §12): emits ColumnBatches
-/// instead of rows, with BatchesToRows(result) byte-identical to what the
-/// row ScanFn returns for the same request. An engine declines a request
-/// its batch path cannot serve (row-store access path, columns not loaded)
-/// with Status::NotSupported — the runner then falls back to the row scan.
-using BatchScanFn = std::function<Result<std::vector<ColumnBatch>>(
-    const ScanRequest&, ScanStats* stats, std::string* path_desc)>;
-
-/// Executes `plan` against `catalog` using `scan` for base access. `exec`
-/// supplies the AP pool for the parallel hash join and aggregation
-/// (default: serial). When `batch_scan` is provided, eligible plans run
-/// vectorized: simple scans and single-table aggregates consume column
-/// batches directly (DESIGN.md §12), and join plans — when
-/// exec.vectorized_join is on and the planner's materialization cost model
-/// agrees — run the batch-native late-materialization join pipeline
-/// (DESIGN.md §13), carrying only lineage indices between join steps and
-/// gathering payload columns once, after the last join. Inputs the engine
-/// declines to batch-scan are bridged in as batches; the planner's early-
-/// materialization choice falls back to the row join path. Results are
-/// byte-identical in every regime.
+/// Executes `plan` against `catalog` using `scan` for base access. Simple
+/// scans and single-table aggregates push the consumed columns into the
+/// scan and consume its batches directly (DESIGN.md §12); join plans run
+/// the late-materialization pipeline (DESIGN.md §13), carrying only
+/// lineage indices between join steps and gathering payload columns once,
+/// after the last join. `exec` supplies the AP pool for the parallel hash
+/// join and aggregation (default: serial). Results are byte-identical at
+/// every thread count, batch size, and spill budget.
 Result<QueryResult> RunPlan(const QueryPlan& plan, const Catalog& catalog,
                             const ScanFn& scan, QueryExecInfo* info,
-                            const ExecContext& exec = ExecContext{},
-                            const BatchScanFn& batch_scan = nullptr);
+                            const ExecContext& exec = ExecContext{});
 
 /// Output schema the runner will produce for `plan` (for binders/tests).
 Result<Schema> PlanOutputSchema(const QueryPlan& plan, const Catalog& catalog);

@@ -365,10 +365,11 @@ bool LogDeltaStore::LookupLatest(Key key, DeltaEntry* out) const {
   const uint32_t idx = static_cast<uint32_t>(payload & 0xffffffffu);
   if (seq < file_seq_base_) return false;  // stale index entry: file merged
   const DeltaFile& f = files_[seq - file_seq_base_];
+  if (idx < f.first) return false;  // stale: drained from a split file
   bytes_decoded_.fetch_add(f.blob.size(), std::memory_order_relaxed);
   const DeltaChunk c = DecodeFile(f);
-  if (idx >= c.size()) return false;
-  *out = c.EntryAt(idx);
+  if (idx - f.first >= c.size()) return false;
+  *out = c.EntryAt(idx - f.first);
   return true;
 }
 
@@ -379,6 +380,20 @@ std::vector<DeltaChunk> LogDeltaStore::DrainUpTo(CSN csn) {
     out.push_back(DecodeFile(files_.front()));
     files_.pop_front();
     ++file_seq_base_;
+  }
+  if (!files_.empty() && files_.front().min_csn <= csn) {
+    // Only the file that straddles `csn` is split: its older entries drain,
+    // its newer rest is re-encoded in place under the same sequence number.
+    DeltaFile& f = files_.front();
+    DeltaChunk c = DecodeFile(f);
+    const size_t n = FirstNewer(c, csn);
+    DeltaChunk rest = c.SplitAt(n);
+    f.blob.clear();
+    EncodeChunk(rest, &f.blob);
+    f.count = rest.size();
+    f.first += n;
+    f.min_csn = *std::min_element(rest.csns.begin(), rest.csns.end());
+    out.push_back(std::move(c));
   }
   return out;
 }

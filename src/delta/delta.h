@@ -206,8 +206,9 @@ class LogDeltaStore : public DeltaReader {
   /// the survey's "delta items efficiently located with key lookups").
   bool LookupLatest(Key key, DeltaEntry* out) const;
 
-  /// Removes all files whose max csn <= csn; returns them decoded, in order
-  /// (the log-based delta merge consumes these).
+  /// Removes every entry with csn <= csn; returns them decoded, in order
+  /// (the log-based delta merge consumes these). A file straddling `csn` is
+  /// split, keeping its newer entries staged.
   std::vector<DeltaChunk> DrainUpTo(CSN csn);
 
   size_t num_files() const;
@@ -219,6 +220,7 @@ class LogDeltaStore : public DeltaReader {
   struct DeltaFile {
     std::string blob;  // one encoded chunk
     size_t count = 0;
+    size_t first = 0;  // appended index of blob's entry 0 (after a split)
     CSN min_csn = 0, max_csn = 0;
   };
 

@@ -1,11 +1,8 @@
-// Hash aggregation (DESIGN.md §§7, 12): one typed group table serves both
-// HashAggregate overloads. Batches are absorbed directly; rows are first
-// transposed into typed batches of just the group and aggregate columns.
+// Hash aggregation (DESIGN.md §§7, 12): one typed group table absorbs
+// column batches directly.
 
 #include <algorithm>
 #include <bit>
-#include <exception>
-#include <numeric>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -21,9 +18,6 @@ namespace {
 constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
 constexpr uint64_t kFnvPrime = 1099511628211ULL;
 constexpr uint32_t kNoGroup = ~0u;
-
-/// Rows per batch when the row overloads transpose their input.
-constexpr size_t kRowChunk = 4096;
 
 /// Below this many input rows per worker the fan-out overhead beats the win.
 constexpr size_t kMinRowsPerAggWorker = 2048;
@@ -393,58 +387,6 @@ class AggTable {
   std::vector<uint32_t> gids_;
 };
 
-/// Copy of `cv` as type `t`: int64 values widen to double; an all-NULL
-/// column converts to any type.
-ColumnVector Converted(const ColumnVector& cv, Type t) {
-  ColumnVector out(t);
-  out.Reserve(cv.size());
-  for (size_t i = 0; i < cv.size(); ++i) out.AppendValue(cv.GetValue(i));
-  return out;
-}
-
-/// Transposes the `used` columns of rows [lo, hi) into typed batches of
-/// kRowChunk rows, in one pass over the rows. A column takes the type of
-/// its first non-NULL value (`seen[k]` records that one arrived); an int64
-/// column meeting a double widens to double, and the batches before are
-/// converted. A string among numbers (or the reverse) breaks the schema
-/// typing every scan guarantees; AppendValue throws on it, as it does
-/// entering the column store.
-std::vector<ColumnBatch> TransposeRange(const std::vector<Row>& rows,
-                                        size_t lo, size_t hi,
-                                        const std::vector<int>& used,
-                                        std::vector<uint8_t>* seen) {
-  std::vector<ColumnBatch> out;
-  seen->assign(used.size(), 0);
-  for (size_t start = lo; start < hi; start += kRowChunk) {
-    const size_t end = std::min(hi, start + kRowChunk);
-    ColumnBatch b;
-    for (size_t k = 0; k < used.size(); ++k) {
-      b.columns.emplace_back(out.empty() ? Type::kInt64
-                                         : out.back().columns[k].type());
-      b.columns.back().Reserve(end - start);
-    }
-    if (used.empty()) {  // COUNT(*) alone: the selection carries the rows
-      b.filtered = true;
-      b.sel.resize(end - start);
-      std::iota(b.sel.begin(), b.sel.end(), 0u);
-    }
-    out.push_back(std::move(b));
-    for (size_t i = start; i < end; ++i) {
-      for (size_t k = 0; k < used.size(); ++k) {
-        const Value& v = rows[i].Get(static_cast<size_t>(used[k]));
-        const Type have = out.back().columns[k].type();
-        if (!v.is_null() && v.type() != have &&
-            (!(*seen)[k] || (have == Type::kInt64 && v.is_double())))
-          for (ColumnBatch& done : out)
-            done.columns[k] = Converted(done.columns[k], v.type());
-        (*seen)[k] |= !v.is_null();
-        out.back().columns[k].AppendValue(v);
-      }
-    }
-  }
-  return out;
-}
-
 size_t AggWorkers(const ExecContext& exec, size_t rows, size_t batches) {
   if (!exec.parallel()) return 1;
   return std::min({exec.max_parallelism,
@@ -452,94 +394,7 @@ size_t AggWorkers(const ExecContext& exec, size_t rows, size_t batches) {
                    std::max<size_t>(batches, 1)});
 }
 
-/// TransposeRange over all rows, one contiguous run of batches per worker.
-/// Each run types its columns from its own rows; the runs are then brought
-/// to one type per column (the first typed run's, widened to double when
-/// int64 meets double) and concatenated in order. An exception in a worker
-/// is rethrown here.
-std::vector<ColumnBatch> TransposeRows(const std::vector<Row>& rows,
-                                       const std::vector<int>& used,
-                                       const ExecContext& exec) {
-  const size_t chunks = (rows.size() + kRowChunk - 1) / kRowChunk;
-  const size_t workers = AggWorkers(exec, rows.size(), chunks);
-  const size_t per = (chunks + workers - 1) / workers * kRowChunk;
-  std::vector<std::vector<ColumnBatch>> runs(workers);
-  std::vector<std::vector<uint8_t>> seen(workers);
-  std::vector<std::exception_ptr> errors(workers);
-  {
-    TaskGroup tg(workers > 1 ? exec.pool : nullptr);
-    for (size_t w = 0; w < workers; ++w) {
-      tg.Run([&, w] {
-        try {
-          const size_t lo = std::min(rows.size(), w * per);
-          runs[w] = TransposeRange(rows, lo, std::min(rows.size(), lo + per),
-                                   used, &seen[w]);
-        } catch (...) {
-          errors[w] = std::current_exception();
-        }
-      });
-    }
-  }
-  for (const std::exception_ptr& e : errors)
-    if (e) std::rethrow_exception(e);
-  for (size_t k = 0; k < used.size(); ++k) {
-    bool typed = false;
-    Type t = Type::kInt64;
-    for (size_t w = 0; w < workers; ++w) {
-      if (!seen[w][k]) continue;
-      const Type run_type = runs[w].front().columns[k].type();
-      if (!typed || (t == Type::kInt64 && run_type == Type::kDouble))
-        t = run_type;
-      typed = true;
-    }
-    for (std::vector<ColumnBatch>& run : runs)
-      for (ColumnBatch& b : run)
-        if (b.columns[k].type() != t)
-          b.columns[k] = Converted(b.columns[k], t);
-  }
-  std::vector<ColumnBatch> out;
-  out.reserve(chunks);
-  for (std::vector<ColumnBatch>& run : runs)
-    for (ColumnBatch& b : run) out.push_back(std::move(b));
-  return out;
-}
-
 }  // namespace
-
-std::vector<Row> HashAggregate(const std::vector<Row>& rows,
-                               const std::vector<int>& group_cols,
-                               const std::vector<AggSpec>& aggs) {
-  return HashAggregate(rows, group_cols, aggs, ExecContext{});
-}
-
-std::vector<Row> HashAggregate(const std::vector<Row>& rows,
-                               const std::vector<int>& group_cols,
-                               const std::vector<AggSpec>& aggs,
-                               const ExecContext& exec, AggStats* stats) {
-  Stopwatch sw;
-  // Transpose only the consumed columns: `used` lists them, and the group
-  // and aggregate indexes are remapped onto that narrow layout.
-  std::vector<int> used;
-  for (int c : group_cols) used.push_back(c);
-  for (const AggSpec& a : aggs)
-    if (a.column >= 0) used.push_back(a.column);
-  std::sort(used.begin(), used.end());
-  used.erase(std::unique(used.begin(), used.end()), used.end());
-  const auto narrow = [&](int c) {
-    return static_cast<int>(std::lower_bound(used.begin(), used.end(), c) -
-                            used.begin());
-  };
-  std::vector<int> groups = group_cols;
-  for (int& g : groups) g = narrow(g);
-  std::vector<AggSpec> narrowed = aggs;
-  for (AggSpec& a : narrowed)
-    if (a.column >= 0) a.column = narrow(a.column);
-  std::vector<Row> out =
-      HashAggregate(TransposeRows(rows, used, exec), groups, narrowed, exec,
-                    stats);
-  if (stats != nullptr) stats->seconds = sw.ElapsedSeconds();
-  return out;
-}
 
 std::vector<Row> HashAggregate(const std::vector<ColumnBatch>& batches,
                                const std::vector<int>& group_cols,

@@ -1,6 +1,7 @@
 #include "exec/batch.h"
 
 #include <numeric>
+#include <utility>
 
 namespace htap {
 
@@ -122,21 +123,38 @@ size_t TotalActiveRows(const std::vector<ColumnBatch>& batches) {
   return total;
 }
 
+BatchBuilder::BatchBuilder(const Schema& schema, std::vector<int> projection,
+                           size_t batch_rows)
+    : projection_(std::move(projection)), batch_rows_(batch_rows) {
+  if (projection_.empty()) {
+    for (const ColumnDef& c : schema.columns()) types_.push_back(c.type);
+  } else {
+    for (int c : projection_)
+      types_.push_back(schema.column(static_cast<size_t>(c)).type);
+  }
+}
+
+void BatchBuilder::Add(const Row& row) {
+  if (out_.empty() || (batch_rows_ != 0 && out_.back().rows() >= batch_rows_)) {
+    ColumnBatch b;
+    b.columns.reserve(types_.size());
+    for (Type t : types_) b.columns.emplace_back(t);
+    out_.push_back(std::move(b));
+  }
+  std::vector<ColumnVector>& cols = out_.back().columns;
+  for (size_t k = 0; k < cols.size(); ++k)
+    cols[k].AppendValue(row.Get(
+        projection_.empty() ? k : static_cast<size_t>(projection_[k])));
+}
+
 std::vector<ColumnBatch> RowsToBatches(const std::vector<Row>& rows,
                                        const Schema& schema,
                                        const std::vector<int>& projection,
                                        size_t batch_rows) {
-  std::vector<ColumnBatch> out;
-  const size_t cap = batch_rows == 0 ? rows.size() : batch_rows;
-  for (size_t lo = 0; lo < rows.size(); lo += std::max<size_t>(cap, 1)) {
-    const size_t hi = std::min(rows.size(), lo + std::max<size_t>(cap, 1));
-    ColumnBatch b = MakeBatch(schema, projection, hi - lo);
-    for (size_t i = lo; i < hi; ++i)
-      for (size_t c = 0; c < b.columns.size(); ++c)
-        b.columns[c].AppendValue(rows[i].Get(c));
-    out.push_back(std::move(b));
-  }
-  return out;
+  BatchBuilder b(projection.empty() ? schema : schema.Project(projection), {},
+                 batch_rows);
+  for (const Row& r : rows) b.Add(r);
+  return b.Finish();
 }
 
 std::vector<Row> BatchesToRows(const std::vector<ColumnBatch>& batches) {

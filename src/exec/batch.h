@@ -7,8 +7,7 @@
 // means every position is active, afterwards `sel` is exact. Scans emit
 // compacted batches (all positions active); filters above the scan refine
 // `sel` in place without copying column data. Conversion back to rows
-// (BatchesToRows) visits only active positions, in order, so a batch
-// pipeline's row image is exactly the row-at-a-time operator's output.
+// (BatchesToRows) visits only active positions, in order.
 
 #ifndef HTAP_EXEC_BATCH_H_
 #define HTAP_EXEC_BATCH_H_
@@ -62,16 +61,31 @@ void FilterBatch(ColumnBatch* batch, int col, CmpOp op, const Value& lit);
 size_t TotalActiveRows(const std::vector<ColumnBatch>& batches);
 
 /// Flattens batches to rows in batch order, active positions only — the
-/// bridge back to the row-at-a-time operators.
+/// query result's edge (QueryResult holds rows).
 std::vector<Row> BatchesToRows(const std::vector<ColumnBatch>& batches);
 
-/// The inverse bridge: packs rows into compacted batches of at most
-/// `batch_rows` rows each (0 = one batch for everything), typed by
-/// `schema` narrowed to `projection` (empty = all columns). Rows must match
-/// the projected layout. BatchesToRows(RowsToBatches(rows, ...)) == rows.
-/// Used when a join input's engine declines the batch scan: the rows it
-/// returned join the batch pipeline instead of forcing the whole plan back
-/// to row-at-a-time execution (DESIGN.md §13).
+/// Packs rows into compacted batches as they arrive, at most `batch_rows`
+/// rows each (0 = one batch for everything), typed by the schema narrowed
+/// to `projection` (empty = all columns). Add() takes a full schema-width
+/// row and keeps the projected cells. The row stores' scans emit through
+/// this, so a scan never holds its rows beside their batch image.
+class BatchBuilder {
+ public:
+  BatchBuilder(const Schema& schema, std::vector<int> projection,
+               size_t batch_rows);
+
+  void Add(const Row& row);
+  std::vector<ColumnBatch> Finish() { return std::move(out_); }
+
+ private:
+  std::vector<int> projection_;
+  size_t batch_rows_;
+  std::vector<Type> types_;
+  std::vector<ColumnBatch> out_;
+};
+
+/// The rows of `rows` (already in the projected layout) packed as
+/// BatchBuilder packs them. BatchesToRows(RowsToBatches(rows, ...)) == rows.
 std::vector<ColumnBatch> RowsToBatches(const std::vector<Row>& rows,
                                        const Schema& schema,
                                        const std::vector<int>& projection,

@@ -21,13 +21,6 @@ namespace htap {
 
 namespace {
 
-Row ProjectRow(const Row& row, const std::vector<int>& projection) {
-  if (projection.empty()) return row;
-  Row out;
-  for (int c : projection) out.Append(row.Get(static_cast<size_t>(c)));
-  return out;
-}
-
 /// Computes one row group's surviving selection: positions neither
 /// deleted nor `hidden` (the main positions of keys the delta overrides;
 /// an empty bitmap hides nothing) that pass the predicate. Comparison
@@ -35,8 +28,7 @@ Row ProjectRow(const Row& row, const std::vector<int>& projection) {
 /// (exec/segment_filter.h) — code-space dictionary compares, per-run RLE,
 /// zone-map-pruned FOR — and anything non-conjunctive falls back to
 /// row-at-a-time EvalColumns over the survivors. Returns false when zone
-/// maps skip the whole group. The row and batch scans share this, so
-/// their keep/drop decisions are identical by construction.
+/// maps skip the whole group.
 bool ComputeGroupSelection(const RowGroup& g, const Bitmap& hidden,
                            const Predicate& pred, std::vector<uint32_t>* sel,
                            ScanStats* st) {
@@ -79,154 +71,61 @@ bool ComputeGroupSelection(const RowGroup& g, const Bitmap& hidden,
   return true;
 }
 
-/// Row output of the HTAP scan: main survivors materialize as projected
-/// Rows, delta rows are projected as the pass visits them.
-class RowScanSink {
- public:
-  using Out = Row;
+/// Source column of output column `k` under `projection` (empty = all).
+size_t ColumnAt(const std::vector<int>& projection, size_t k) {
+  return projection.empty() ? k : static_cast<size_t>(projection[k]);
+}
 
-  explicit RowScanSink(const std::vector<int>& projection)
-      : projection_(projection) {}
-
-  /// Scans one row group (one morsel) into `out`/`st`.
-  void ScanGroup(const RowGroup& g, const Bitmap& hidden,
-                 const Predicate& pred, std::vector<Row>* out,
-                 ScanStats* st) const {
-    std::vector<uint32_t> sel;
-    if (!ComputeGroupSelection(g, hidden, pred, &sel, st)) return;
-    for (uint32_t i : sel) {
-      Row r;
-      if (projection_.empty()) {
-        for (const auto& col : g.columns) r.Append(col.Get(i));
-      } else {
-        for (int c : projection_)
-          r.Append(g.columns[static_cast<size_t>(c)].Get(i));
-      }
-      out->push_back(std::move(r));
-      ++st->main_rows_emitted;
+/// Scans one row group (one morsel) into compacted batches of at most
+/// `batch_rows` rows (0 = whole group): the survivors gather through typed
+/// per-encoding gathers, no Value boxing.
+void ScanGroup(const RowGroup& g, const Bitmap& hidden, const Predicate& pred,
+               const std::vector<int>& projection, size_t batch_rows,
+               std::vector<ColumnBatch>* out, ScanStats* st) {
+  std::vector<uint32_t> sel;
+  if (!ComputeGroupSelection(g, hidden, pred, &sel, st)) return;
+  const size_t bsz = batch_rows == 0 ? sel.size() : batch_rows;
+  const size_t width =
+      projection.empty() ? g.columns.size() : projection.size();
+  for (size_t lo = 0; lo < sel.size(); lo += bsz) {
+    const size_t n = std::min(bsz, sel.size() - lo);
+    const std::vector<uint32_t> slice(
+        sel.begin() + static_cast<long>(lo),
+        sel.begin() + static_cast<long>(lo + n));
+    ColumnBatch b;
+    b.columns.reserve(width);
+    for (size_t k = 0; k < width; ++k) {
+      const Segment& seg = g.columns[ColumnAt(projection, k)];
+      b.columns.emplace_back(seg.type());
+      b.columns.back().Reserve(n);
+      GatherSegment(seg, slice, &b.columns.back());
     }
+    st->main_rows_emitted += n;
+    out->push_back(std::move(b));
   }
+}
 
-  /// Stages delta row `i` of `slice`, projected, in the next slot.
-  void AppendDelta(const DeltaSlice& slice, size_t i) {
-    Row r;
-    if (projection_.empty()) {
-      for (const ColumnVector* col : slice.columns) r.Append(col->GetValue(i));
-    } else {
-      for (int c : projection_)
-        r.Append(slice.columns[static_cast<size_t>(c)]->GetValue(i));
-    }
-    delta_.push_back(std::move(r));
-  }
+}  // namespace
 
-  /// Appends the staged delta rows not superseded by a later entry.
-  void FinishDelta(const std::vector<uint8_t>& superseded,
-                   std::vector<Row>* out) {
-    for (size_t i = 0; i < delta_.size(); ++i)
-      if (!superseded[i]) out->push_back(std::move(delta_[i]));
-  }
-
- private:
-  const std::vector<int>& projection_;
-  std::vector<Row> delta_;
-};
-
-/// Batch output of the HTAP scan: main survivors gather into compacted
-/// ColumnBatches of at most `batch_rows` rows (0 = whole group) through
-/// typed per-encoding gathers, no Value boxing; delta rows append into
-/// schema-typed batches of the same size, superseded slots dropping out
-/// through the selection vector.
-class BatchScanSink {
- public:
-  using Out = ColumnBatch;
-
-  BatchScanSink(const Schema& schema, const std::vector<int>& projection,
-                size_t batch_rows)
-      : schema_(schema), projection_(projection), batch_rows_(batch_rows) {}
-
-  void ScanGroup(const RowGroup& g, const Bitmap& hidden,
-                 const Predicate& pred, std::vector<ColumnBatch>* out,
-                 ScanStats* st) const {
-    std::vector<uint32_t> sel;
-    if (!ComputeGroupSelection(g, hidden, pred, &sel, st)) return;
-    if (sel.empty()) return;
-    const size_t bsz = batch_rows_ == 0 ? sel.size() : batch_rows_;
-    for (size_t lo = 0; lo < sel.size(); lo += bsz) {
-      const size_t n = std::min(bsz, sel.size() - lo);
-      const std::vector<uint32_t> slice(
-          sel.begin() + static_cast<long>(lo),
-          sel.begin() + static_cast<long>(lo + n));
-      ColumnBatch b;
-      const auto gather = [&](size_t c) {
-        ColumnVector cv(g.columns[c].type());
-        cv.Reserve(n);
-        GatherSegment(g.columns[c], slice, &cv);
-        b.columns.push_back(std::move(cv));
-      };
-      if (projection_.empty()) {
-        b.columns.reserve(g.columns.size());
-        for (size_t c = 0; c < g.columns.size(); ++c) gather(c);
-      } else {
-        b.columns.reserve(projection_.size());
-        for (int c : projection_) gather(static_cast<size_t>(c));
-      }
-      st->main_rows_emitted += n;
-      out->push_back(std::move(b));
-    }
-  }
-
-  /// Gathers delta row `i` of `slice` into the open batch, typed.
-  void AppendDelta(const DeltaSlice& slice, size_t i) {
-    if (delta_.empty() ||
-        (batch_rows_ != 0 && delta_.back().rows() >= batch_rows_))
-      delta_.push_back(MakeBatch(schema_, projection_, batch_rows_));
-    std::vector<ColumnVector>& cols = delta_.back().columns;
-    for (size_t c = 0; c < cols.size(); ++c)
-      cols[c].AppendFrom(
-          *slice.columns[projection_.empty()
-                             ? c
-                             : static_cast<size_t>(projection_[c])],
-          i);
-  }
-
-  void FinishDelta(const std::vector<uint8_t>& superseded,
-                   std::vector<ColumnBatch>* out) {
-    size_t base = 0;
-    for (ColumnBatch& b : delta_) {
-      const size_t n = b.rows();
-      for (size_t i = 0; i < n; ++i)
-        if (!superseded[base + i]) b.sel.push_back(static_cast<uint32_t>(i));
-      base += n;
-      b.filtered = b.sel.size() < n;
-      if (!b.filtered) b.sel.clear();  // all active: stay compacted
-      if (b.active() > 0) out->push_back(std::move(b));
-    }
-  }
-
- private:
-  const Schema& schema_;
-  const std::vector<int>& projection_;
-  const size_t batch_rows_;
-  std::vector<ColumnBatch> delta_;
-};
-
-/// The HTAP scan shared by ScanHtap and ScanHtapBatches (DESIGN.md §7).
 /// Under the table's shared latch, one DeltaReader::ScanVisible pass over
 /// the delta's chunk ranges keeps the latest visible entry per key and
-/// stages each surviving, predicate-passing one straight into `sink` — the
-/// predicate runs on the typed chunk columns; an entry replaced by a later
-/// one for the same key is marked superseded. Each overridden key then
-/// resolves once, through the table's key index, to the main position it
-/// hides. The group morsels (one per row group, merged in group order)
-/// test that hidden bitmap beside the delete bitmap — no hashing per main
-/// row — and the delta rows follow the main groups in the commit order of
-/// each key's latest entry. Serial and parallel output are byte-identical.
-template <typename Sink>
-std::vector<typename Sink::Out> ScanHtapWith(
-    const ColumnTable& table, const DeltaReader* delta, CSN snapshot,
-    const Predicate& pred, const ExecContext& exec, ScanStats* st,
-    Sink* sink) {
-  using Out = typename Sink::Out;
+/// stages each surviving, predicate-passing one straight into typed delta
+/// batches — the predicate runs on the typed chunk columns; an entry
+/// replaced by a later one for the same key is marked superseded. Each
+/// overridden key then resolves once, through the table's key index, to
+/// the main position it hides. The group morsels (one per row group,
+/// merged in group order) test that hidden bitmap beside the delete
+/// bitmap — no hashing per main row — and the delta rows follow the main
+/// groups in the commit order of each key's latest entry. Serial and
+/// parallel output are byte-identical.
+std::vector<ColumnBatch> ScanHtapBatches(const ColumnTable& table,
+                                         const DeltaReader* delta,
+                                         CSN snapshot, const Predicate& pred,
+                                         const std::vector<int>& projection,
+                                         const ExecContext& exec,
+                                         ScanStats* stats) {
+  ScanStats local;
+  ScanStats* st = stats != nullptr ? stats : &local;
   // Hold the scan latch for the whole pass: Compact() cannot invalidate
   // group pointers mid-scan, and a merge drains the delta and applies it to
   // the main under the write latch, so the delta and the main read here
@@ -241,6 +140,7 @@ std::vector<typename Sink::Out> ScanHtapWith(
   // 1. The delta pass and the position resolve.
   Stopwatch delta_sw;
   std::vector<Bitmap> hidden(ngroups);
+  std::vector<ColumnBatch> staged;  // delta rows, typed, in commit order
   std::vector<uint8_t> superseded;  // per staged delta slot
   if (delta != nullptr) {
     KeySlotMap keys(delta->EntryCount());  // sized for every staged entry
@@ -259,7 +159,13 @@ std::vector<typename Sink::Out> ScanHtapWith(
           continue;
         slot = static_cast<uint32_t>(superseded.size());
         superseded.push_back(0);
-        sink->AppendDelta(s, i);
+        if (staged.empty() || (exec.batch_rows != 0 &&
+                               staged.back().rows() >= exec.batch_rows))
+          staged.push_back(
+              MakeBatch(table.schema(), projection, exec.batch_rows));
+        std::vector<ColumnVector>& cols = staged.back().columns;
+        for (size_t k = 0; k < cols.size(); ++k)
+          cols[k].AppendFrom(*s.columns[ColumnAt(projection, k)], i);
         ++emitted;
       }
     });
@@ -276,18 +182,19 @@ std::vector<typename Sink::Out> ScanHtapWith(
 
   // 2. The main groups, one morsel each, merged in group order.
   Stopwatch main_sw;
-  std::vector<Out> out;
+  std::vector<ColumnBatch> out;
   const size_t workers =
       exec.parallel() && ngroups > 1 ? std::min(exec.max_parallelism, ngroups)
                                      : 1;
   if (workers <= 1) {
     for (size_t gi = 0; gi < ngroups; ++gi)
-      sink->ScanGroup(*groups[gi], hidden[gi], pred, &out, st);
+      ScanGroup(*groups[gi], hidden[gi], pred, projection, exec.batch_rows,
+                &out, st);
   } else {
     // Workers claim group morsels through a shared cursor; per-group output
     // vectors keep the merge order-deterministic regardless of which worker
     // scanned which group.
-    std::vector<std::vector<Out>> partial(ngroups);
+    std::vector<std::vector<ColumnBatch>> partial(ngroups);
     std::vector<ScanStats> wstats(workers);
     std::atomic<size_t> next{0};
     {
@@ -297,8 +204,8 @@ std::vector<typename Sink::Out> ScanHtapWith(
           for (size_t gi = next.fetch_add(1, std::memory_order_relaxed);
                gi < ngroups;
                gi = next.fetch_add(1, std::memory_order_relaxed))
-            sink->ScanGroup(*groups[gi], hidden[gi], pred, &partial[gi],
-                            &wstats[w]);
+            ScanGroup(*groups[gi], hidden[gi], pred, projection,
+                      exec.batch_rows, &partial[gi], &wstats[w]);
         });
       }
     }
@@ -311,16 +218,24 @@ std::vector<typename Sink::Out> ScanHtapWith(
     for (const auto& p : partial) total += p.size();
     out.reserve(total);
     for (auto& p : partial)
-      for (Out& o : p) out.push_back(std::move(o));
+      for (ColumnBatch& b : p) out.push_back(std::move(b));
   }
   st->main_seconds += main_sw.ElapsedSeconds();
 
-  // 3. The delta rows after the main groups.
-  sink->FinishDelta(superseded, &out);
+  // 3. The delta rows after the main groups; superseded slots drop out
+  // through the selection vector.
+  size_t base = 0;
+  for (ColumnBatch& b : staged) {
+    const size_t n = b.rows();
+    for (size_t i = 0; i < n; ++i)
+      if (!superseded[base + i]) b.sel.push_back(static_cast<uint32_t>(i));
+    base += n;
+    b.filtered = b.sel.size() < n;
+    if (!b.filtered) b.sel.clear();  // all active: stay compacted
+    if (b.active() > 0) out.push_back(std::move(b));
+  }
   return out;
 }
-
-}  // namespace
 
 std::string QueryResult::ToString(size_t max_rows) const {
   std::string s;
@@ -341,79 +256,38 @@ std::string QueryResult::ToString(size_t max_rows) const {
   return s;
 }
 
-std::vector<Row> ScanRowStore(const MvccRowStore& store, const Snapshot& snap,
-                              const Predicate& pred,
-                              const std::vector<int>& projection) {
-  std::vector<Row> out;
-  store.Scan(snap, [&](Key, const Row& row) {
-    if (pred.Eval(row)) out.push_back(ProjectRow(row, projection));
-    return true;
-  });
-  return out;
-}
-
-std::vector<Row> ScanRowStore(const MvccRowStore& store, const Snapshot& snap,
-                              const Predicate& pred,
-                              const std::vector<int>& projection,
-                              const ExecContext& exec) {
-  if (!exec.parallel())
-    return ScanRowStore(store, snap, pred, projection);
+std::vector<ColumnBatch> ScanRowStore(const MvccRowStore& store,
+                                      const Snapshot& snap,
+                                      const Predicate& pred,
+                                      const std::vector<int>& projection,
+                                      const ExecContext& exec) {
+  const auto scan = [&](const std::pair<Key, Key>* range) {
+    BatchBuilder out(store.schema(), projection, exec.batch_rows);
+    const auto visit = [&](Key, const Row& row) {
+      if (pred.Eval(row)) out.Add(row);
+      return true;
+    };
+    if (range == nullptr)
+      store.Scan(snap, visit);
+    else
+      store.ScanRange(snap, range->first, range->second, visit);
+    return out.Finish();
+  };
   const std::vector<std::pair<Key, Key>> ranges =
-      store.SplitKeyRanges(exec.max_parallelism);
-  if (ranges.size() <= 1)
-    return ScanRowStore(store, snap, pred, projection);
+      exec.parallel() ? store.SplitKeyRanges(exec.max_parallelism)
+                      : std::vector<std::pair<Key, Key>>{};
+  if (ranges.size() <= 1) return scan(nullptr);
 
-  std::vector<std::vector<Row>> partial(ranges.size());
+  std::vector<std::vector<ColumnBatch>> partial(ranges.size());
   {
     TaskGroup tg(exec.pool);
-    for (size_t i = 0; i < ranges.size(); ++i) {
-      tg.Run([&, i] {
-        store.ScanRange(snap, ranges[i].first, ranges[i].second,
-                        [&](Key, const Row& row) {
-                          if (pred.Eval(row))
-                            partial[i].push_back(ProjectRow(row, projection));
-                          return true;
-                        });
-      });
-    }
+    for (size_t i = 0; i < ranges.size(); ++i)
+      tg.Run([&, i] { partial[i] = scan(&ranges[i]); });
   }
-  size_t total = 0;
-  for (const auto& p : partial) total += p.size();
-  std::vector<Row> out;
-  out.reserve(total);
+  std::vector<ColumnBatch> out;
   for (auto& p : partial)
-    for (Row& r : p) out.push_back(std::move(r));
+    for (ColumnBatch& b : p) out.push_back(std::move(b));
   return out;
-}
-
-std::vector<Row> ScanHtap(const ColumnTable& table, const DeltaReader* delta,
-                          CSN snapshot, const Predicate& pred,
-                          const std::vector<int>& projection,
-                          const ExecContext& exec, ScanStats* stats) {
-  ScanStats local;
-  RowScanSink sink(projection);
-  return ScanHtapWith(table, delta, snapshot, pred, exec,
-                      stats != nullptr ? stats : &local, &sink);
-}
-
-std::vector<Row> ScanHtap(const ColumnTable& table, const DeltaReader* delta,
-                          CSN snapshot, const Predicate& pred,
-                          const std::vector<int>& projection,
-                          ScanStats* stats) {
-  return ScanHtap(table, delta, snapshot, pred, projection, ExecContext{},
-                  stats);
-}
-
-std::vector<ColumnBatch> ScanHtapBatches(const ColumnTable& table,
-                                         const DeltaReader* delta,
-                                         CSN snapshot, const Predicate& pred,
-                                         const std::vector<int>& projection,
-                                         const ExecContext& exec,
-                                         ScanStats* stats) {
-  ScanStats local;
-  BatchScanSink sink(table.schema(), projection, exec.batch_rows);
-  return ScanHtapWith(table, delta, snapshot, pred, exec,
-                      stats != nullptr ? stats : &local, &sink);
 }
 
 // ---------------------------------------------------------------------------
@@ -467,14 +341,6 @@ class JoinPartitionTable {
   std::vector<Entry> entries_;
 };
 
-Row ConcatRows(const Row& l, const Row& r) {
-  std::vector<Value> vals;
-  vals.reserve(l.size() + r.size());
-  vals.insert(vals.end(), l.values().begin(), l.values().end());
-  vals.insert(vals.end(), r.values().begin(), r.values().end());
-  return Row(std::move(vals));
-}
-
 /// Probes key slots [lo, hi) against the partition tables, emitting
 /// (probe, build) index pairs. Two passes: a hash-match pre-count sizes the
 /// output reservation (overcounting only on hash collisions between unequal
@@ -515,6 +381,105 @@ size_t JoinPartitionCount(size_t workers) {
 constexpr size_t kMinScatterRowsPerChunk = 8192;
 constexpr size_t kMinProbeRowsPerMorsel = 4096;
 
+/// The probe pass driver: chunks of [0, n) are morsels claimed through a
+/// shared cursor by at most `workers` tasks. Each task calls make_task()
+/// once for its morsel function fn(lo, hi, out); per-morsel pair buffers
+/// concatenate in morsel order, so the pairs keep probe input order.
+template <typename MakeTask>
+JoinPairs ProbeMorsels(size_t n, size_t workers, const ExecContext& exec,
+                       const MakeTask& make_task) {
+  const size_t nprobe =
+      n == 0 ? 0
+             : std::clamp<size_t>(n / kMinProbeRowsPerMorsel, 1, workers * 4);
+  std::vector<JoinPairs> partial(nprobe);
+  if (nprobe > 0) {
+    const size_t per = (n + nprobe - 1) / nprobe;
+    std::atomic<size_t> next{0};
+    TaskGroup tg(exec.pool);
+    for (size_t w = 0; w < std::min(workers, nprobe); ++w) {
+      tg.Run([&] {
+        auto morsel = make_task();
+        for (size_t m = next.fetch_add(1, std::memory_order_relaxed);
+             m < nprobe; m = next.fetch_add(1, std::memory_order_relaxed))
+          morsel(m * per, std::min(n, m * per + per), &partial[m]);
+      });
+    }
+  }
+  JoinPairs pairs;
+  size_t total = 0;
+  for (const auto& m : partial) total += m.size();
+  pairs.reserve(total);
+  for (const auto& m : partial) pairs.insert(pairs.end(), m.begin(), m.end());
+  return pairs;
+}
+
+/// Radix buckets of (masked hash, build slot), [chunk][partition].
+using ScatterBuckets =
+    std::vector<std::vector<std::vector<std::pair<uint64_t, uint32_t>>>>;
+
+/// Partition pass: contiguous build chunks (one task each, at most
+/// `workers`) scatter their valid slots into per-chunk partition buckets —
+/// workers never share a buffer. With `weights`, also sums them per
+/// partition into `*part_bytes` (the grace classifier's input).
+ScatterBuckets ScatterBuild(const JoinKeyColumn& build, size_t nparts,
+                            size_t workers, const ExecContext& exec,
+                            const std::vector<size_t>* weights,
+                            std::vector<size_t>* part_bytes) {
+  const uint64_t part_mask = nparts - 1;
+  const size_t nchunks =
+      std::clamp<size_t>(build.size() / kMinScatterRowsPerChunk, 1, workers);
+  const size_t chunk_rows = (build.size() + nchunks - 1) / nchunks;
+  ScatterBuckets scatter(nchunks);
+  std::vector<std::vector<size_t>> chunk_bytes(nchunks);
+  {
+    TaskGroup tg(exec.pool);
+    for (size_t c = 0; c < nchunks; ++c) {
+      tg.Run([&, c] {
+        auto& buckets = scatter[c];
+        buckets.resize(nparts);
+        if (weights != nullptr) chunk_bytes[c].assign(nparts, 0);
+        const size_t hi = std::min(build.size(), (c + 1) * chunk_rows);
+        for (size_t i = c * chunk_rows; i < hi; ++i) {
+          if (!build.valid[i]) continue;
+          const uint64_t h = build.hashes[i] & exec.join_hash_mask;
+          const size_t p = h & part_mask;
+          buckets[p].emplace_back(h, static_cast<uint32_t>(i));
+          if (weights != nullptr) chunk_bytes[c][p] += (*weights)[i];
+        }
+      });
+    }
+  }
+  if (weights != nullptr) {
+    part_bytes->assign(nparts, 0);
+    for (const auto& bytes : chunk_bytes)
+      for (size_t p = 0; p < nparts; ++p) (*part_bytes)[p] += bytes[p];
+  }
+  return scatter;
+}
+
+/// Build pass: each partition's table (only those with `resident[p]` set,
+/// when given) is an independent morsel. Chunk buffers merge in chunk
+/// order, so per-hash chains hold build rows in input order exactly as the
+/// serial build does.
+std::vector<JoinPartitionTable> BuildPartitions(
+    const ScatterBuckets& scatter, size_t nparts, const ExecContext& exec,
+    const std::vector<uint8_t>* resident = nullptr) {
+  std::vector<JoinPartitionTable> parts(nparts);
+  TaskGroup tg(exec.pool);
+  for (size_t p = 0; p < nparts; ++p) {
+    if (resident != nullptr && !(*resident)[p]) continue;
+    tg.Run([&, p] {
+      size_t total = 0;
+      for (const auto& buckets : scatter) total += buckets[p].size();
+      parts[p].Reserve(total);
+      for (const auto& buckets : scatter)
+        for (const auto& [h, idx] : buckets[p]) parts[p].Insert(h, idx);
+    });
+  }
+  tg.Wait();
+  return parts;
+}
+
 // ---- grace (out-of-core) path ---------------------------------------------
 
 /// Re-partition fan-out per recursion level: 4 radix bits.
@@ -552,57 +517,59 @@ struct SpillCounters {
   size_t bytes_read = 0;  // serial only
   size_t pages_read = 0;  // serial only
   size_t max_depth = 0;   // serial only
+
+  void AddWritten(size_t rows, size_t pages, size_t bytes) {
+    rows_written.fetch_add(rows, std::memory_order_relaxed);
+    pages_written.fetch_add(pages, std::memory_order_relaxed);
+    bytes_written.fetch_add(bytes, std::memory_order_relaxed);
+  }
 };
 
 /// Accumulates (input index, key) slots from one key column into a
-/// SpillPage, encoding into the bound buffer whenever the page's
-/// approximate footprint reaches kSpillFlushBytes. The caller reads the
-/// rows()/pages() tallies when a buffer goes to disk, then ResetCounters().
+/// SpillPage, encoding into its buffer whenever the page's approximate
+/// footprint reaches kSpillFlushBytes. The caller writes buf() to disk,
+/// reads the rows()/pages() tallies, then Reset()s.
 class SpillPageWriter {
  public:
-  SpillPageWriter(const JoinKeyColumn* keys, std::string* buf)
-      : keys_(keys), buf_(buf) {
+  explicit SpillPageWriter(const JoinKeyColumn* keys) : keys_(keys) {
     ResetPage();
   }
 
   void Add(uint32_t idx, size_t slot) {
     page_.idx.push_back(idx);
     approx_ += sizeof(uint32_t);
-    if (keys_->mixed) {
-      const Value& v = keys_->boxed[slot];
-      approx_ += v.MemoryBytes();
-      page_.vals.push_back(v);
-    } else {
-      switch (keys_->type) {
-        case Type::kInt64:
-          page_.ints.push_back(keys_->ints[slot]);
-          approx_ += sizeof(int64_t);
-          break;
-        case Type::kDouble:
-          page_.doubles.push_back(keys_->doubles[slot]);
-          approx_ += sizeof(double);
-          break;
-        case Type::kString:
-          page_.strs.push_back(keys_->strs[slot]);
-          approx_ += sizeof(uint32_t) + page_.strs.back().size();
-          break;
-      }
+    switch (keys_->type) {
+      case Type::kInt64:
+        page_.ints.push_back(keys_->ints[slot]);
+        approx_ += sizeof(int64_t);
+        break;
+      case Type::kDouble:
+        page_.doubles.push_back(keys_->doubles[slot]);
+        approx_ += sizeof(double);
+        break;
+      case Type::kString:
+        page_.strs.push_back(keys_->strs[slot]);
+        approx_ += sizeof(uint32_t) + page_.strs.back().size();
+        break;
     }
     ++rows_;
     if (approx_ >= kSpillFlushBytes) Flush();
   }
 
-  /// Encodes any buffered slots into the bound buffer as one page.
+  /// Encodes any buffered slots into the buffer as one page.
   void Flush() {
     if (page_.idx.empty()) return;
-    EncodeSpillPage(page_, buf_);
+    EncodeSpillPage(page_, &buf_);
     ++pages_;
     ResetPage();
   }
 
+  std::string& buf() { return buf_; }
   size_t rows() const { return rows_; }
   size_t pages() const { return pages_; }
-  void ResetCounters() {
+  /// Empties the buffer and zeroes the tallies.
+  void Reset() {
+    buf_.clear();
     rows_ = 0;
     pages_ = 0;
   }
@@ -611,12 +578,11 @@ class SpillPageWriter {
   void ResetPage() {
     page_ = SpillPage{};
     page_.type = keys_->type;
-    page_.boxed = keys_->mixed;
     approx_ = 0;
   }
 
   const JoinKeyColumn* keys_;
-  std::string* buf_;
+  std::string buf_;
   SpillPage page_;
   size_t approx_ = 0;
   size_t rows_ = 0;
@@ -639,38 +605,28 @@ Result<SpilledKeys> ReadSpillPages(SpillRun* run, SpillCounters* sc) {
   HTAP_ASSIGN_OR_RETURN(const std::string data, run->ReadAll());
   sc->bytes_read += data.size();
   size_t pos = 0;
-  bool typed = false;
   while (pos < data.size()) {
     SpillPage page;
     if (!DecodeSpillPage(data, &pos, &page))
       return Status::Corruption("malformed spill page in " + run->path());
     ++sc->pages_read;
-    if (!typed) {
-      out.keys.type = page.type;
-      out.keys.mixed = page.boxed;
-      typed = true;
-    }
+    out.keys.type = page.type;  // every page of a run has the key's type
     for (size_t r = 0; r < page.rows(); ++r) {
       out.idx.push_back(page.idx[r]);
       out.keys.valid.push_back(1);  // NULL keys never spill
-      if (page.boxed) {
-        out.keys.hashes.push_back(page.vals[r].Hash());
-        out.keys.boxed.push_back(std::move(page.vals[r]));
-      } else {
-        switch (page.type) {
-          case Type::kInt64:
-            out.keys.hashes.push_back(HashInt64(page.ints[r]));
-            out.keys.ints.push_back(page.ints[r]);
-            break;
-          case Type::kDouble:
-            out.keys.hashes.push_back(HashDouble(page.doubles[r]));
-            out.keys.doubles.push_back(page.doubles[r]);
-            break;
-          case Type::kString:
-            out.keys.hashes.push_back(HashString(page.strs[r]));
-            out.keys.strs.push_back(std::move(page.strs[r]));
-            break;
-        }
+      switch (page.type) {
+        case Type::kInt64:
+          out.keys.hashes.push_back(HashInt64(page.ints[r]));
+          out.keys.ints.push_back(page.ints[r]);
+          break;
+        case Type::kDouble:
+          out.keys.hashes.push_back(HashDouble(page.doubles[r]));
+          out.keys.doubles.push_back(page.doubles[r]);
+          break;
+        case Type::kString:
+          out.keys.hashes.push_back(HashString(page.strs[r]));
+          out.keys.strs.push_back(std::move(page.strs[r]));
+          break;
       }
     }
   }
@@ -702,6 +658,39 @@ void JoinPartitionInMemoryKeys(const JoinKeyColumn& probe,
   }
 }
 
+/// Re-partitions spilled keys on the hash bits above `bit_shift` into
+/// kSpillSubParts runs named `prefix`<depth+1>, marking in `*seen` the
+/// sub-partitions that received rows (the only ones given a run). With
+/// `only`, slots of unmarked sub-partitions are dropped — a probe row with
+/// no build rows in its sub-partition cannot match.
+Status SplitSpilled(const SpilledKeys& in, const ExecContext& exec,
+                    const std::string& dir, const char* prefix,
+                    size_t bit_shift, size_t depth,
+                    const std::array<uint8_t, kSpillSubParts>* only,
+                    std::array<uint8_t, kSpillSubParts>* seen,
+                    std::array<SpillRun, kSpillSubParts>* runs,
+                    SpillCounters* sc) {
+  std::vector<SpillPageWriter> writers(kSpillSubParts,
+                                       SpillPageWriter(&in.keys));
+  for (size_t slot = 0; slot < in.keys.size(); ++slot) {
+    const uint64_t h = in.keys.hashes[slot] & exec.join_hash_mask;
+    const size_t s = (h >> bit_shift) & (kSpillSubParts - 1);
+    if (only != nullptr && !(*only)[s]) continue;
+    writers[s].Add(in.idx[slot], slot);
+    (*seen)[s] = 1;
+  }
+  for (size_t s = 0; s < kSpillSubParts; ++s) {
+    if (!(*seen)[s]) continue;
+    writers[s].Flush();
+    HTAP_RETURN_NOT_OK(
+        (*runs)[s].Open(dir, prefix + std::to_string(depth + 1)));
+    HTAP_RETURN_NOT_OK((*runs)[s].Append(writers[s].buf()));
+    sc->AddWritten(writers[s].rows(), writers[s].pages(),
+                   writers[s].buf().size());
+  }
+  return Status::OK();
+}
+
 /// Joins one spilled partition, partition-at-a-time. Partition weight is
 /// measured through `build_weights` — the per-slot payload footprints of
 /// the ORIGINAL build input (spilled records carry their input index, so a
@@ -728,61 +717,15 @@ Status JoinSpilledPartition(SpillRun build_run, SpillRun probe_run,
     std::array<SpillRun, kSpillSubParts> bsub;
     std::array<SpillRun, kSpillSubParts> psub;
     std::array<uint8_t, kSpillSubParts> has_build{};
-    {
-      std::array<std::string, kSpillSubParts> bufs;
-      std::vector<SpillPageWriter> writers;
-      writers.reserve(kSpillSubParts);
-      for (size_t s = 0; s < kSpillSubParts; ++s)
-        writers.emplace_back(&build.keys, &bufs[s]);
-      for (size_t slot = 0; slot < build.keys.size(); ++slot) {
-        const uint64_t h = build.keys.hashes[slot] & hash_mask;
-        const size_t s = (h >> bit_shift) & (kSpillSubParts - 1);
-        writers[s].Add(build.idx[slot], slot);
-        has_build[s] = 1;
-      }
-      for (size_t s = 0; s < kSpillSubParts; ++s) {
-        if (!has_build[s]) continue;
-        writers[s].Flush();
-        HTAP_RETURN_NOT_OK(
-            bsub[s].Open(dir, "b" + std::to_string(depth + 1)));
-        HTAP_RETURN_NOT_OK(bsub[s].Append(bufs[s]));
-        sc->rows_written.fetch_add(writers[s].rows(),
-                                   std::memory_order_relaxed);
-        sc->pages_written.fetch_add(writers[s].pages(),
-                                    std::memory_order_relaxed);
-        sc->bytes_written.fetch_add(bufs[s].size(),
-                                    std::memory_order_relaxed);
-      }
-      build = SpilledKeys{};
-    }
+    std::array<uint8_t, kSpillSubParts> has_probe{};
+    HTAP_RETURN_NOT_OK(SplitSpilled(build, exec, dir, "b", bit_shift, depth,
+                                    nullptr, &has_build, &bsub, sc));
+    build = SpilledKeys{};
     {
       HTAP_ASSIGN_OR_RETURN(SpilledKeys probe, ReadSpillPages(&probe_run, sc));
       probe_run.Discard();
-      std::array<std::string, kSpillSubParts> bufs;
-      std::vector<SpillPageWriter> writers;
-      writers.reserve(kSpillSubParts);
-      for (size_t s = 0; s < kSpillSubParts; ++s)
-        writers.emplace_back(&probe.keys, &bufs[s]);
-      for (size_t slot = 0; slot < probe.keys.size(); ++slot) {
-        const uint64_t h = probe.keys.hashes[slot] & hash_mask;
-        const size_t s = (h >> bit_shift) & (kSpillSubParts - 1);
-        if (!has_build[s]) continue;  // no build rows -> cannot match
-        writers[s].Add(probe.idx[slot], slot);
-      }
-      for (size_t s = 0; s < kSpillSubParts; ++s) {
-        if (!has_build[s]) continue;
-        writers[s].Flush();
-        if (bufs[s].empty()) continue;
-        HTAP_RETURN_NOT_OK(
-            psub[s].Open(dir, "p" + std::to_string(depth + 1)));
-        HTAP_RETURN_NOT_OK(psub[s].Append(bufs[s]));
-        sc->rows_written.fetch_add(writers[s].rows(),
-                                   std::memory_order_relaxed);
-        sc->pages_written.fetch_add(writers[s].pages(),
-                                    std::memory_order_relaxed);
-        sc->bytes_written.fetch_add(bufs[s].size(),
-                                    std::memory_order_relaxed);
-      }
+      HTAP_RETURN_NOT_OK(SplitSpilled(probe, exec, dir, "p", bit_shift, depth,
+                                      &has_build, &has_probe, &psub, sc));
     }
     for (size_t s = 0; s < kSpillSubParts; ++s) {
       if (!has_build[s]) continue;
@@ -836,34 +779,9 @@ JoinPairs GraceJoinPairsKeys(const JoinKeyColumn& probe,
   // 1. Scatter, as in the radix join, but also tallying per-partition
   // build footprint (payload weights, not key bytes) so the classifier
   // below can pick residents.
-  const size_t nchunks =
-      std::clamp<size_t>(build.size() / kMinScatterRowsPerChunk, 1, workers);
-  const size_t chunk_rows = (build.size() + nchunks - 1) / nchunks;
-  std::vector<std::vector<std::vector<std::pair<uint64_t, uint32_t>>>> scatter(
-      nchunks);
-  std::vector<std::vector<size_t>> chunk_bytes(nchunks);
-  {
-    TaskGroup tg(exec.pool);
-    for (size_t c = 0; c < nchunks; ++c) {
-      tg.Run([&, c] {
-        auto& buckets = scatter[c];
-        auto& bytes = chunk_bytes[c];
-        buckets.resize(nparts);
-        bytes.assign(nparts, 0);
-        const size_t hi = std::min(build.size(), (c + 1) * chunk_rows);
-        for (size_t i = c * chunk_rows; i < hi; ++i) {
-          if (!build.valid[i]) continue;
-          const uint64_t h = build.hashes[i] & hash_mask;
-          const size_t p = h & part_mask;
-          buckets[p].emplace_back(h, static_cast<uint32_t>(i));
-          bytes[p] += weights[i];
-        }
-      });
-    }
-  }
-  std::vector<size_t> part_bytes(nparts, 0);
-  for (const auto& bytes : chunk_bytes)
-    for (size_t p = 0; p < nparts; ++p) part_bytes[p] += bytes[p];
+  std::vector<size_t> part_bytes;
+  ScatterBuckets scatter =
+      ScatterBuild(build, nparts, workers, exec, &weights, &part_bytes);
 
   // 2. Classify: walk partitions in index order, keeping them resident
   // while the running total fits the budget. Deterministic, and at least
@@ -891,8 +809,8 @@ JoinPairs GraceJoinPairsKeys(const JoinKeyColumn& probe,
       if (resident[p]) continue;
       tg.Run([&, p] {
         Status st = build_runs[p].Open(dir, "b" + std::to_string(p));
-        std::string buf;
-        SpillPageWriter writer(&build, &buf);
+        SpillPageWriter writer(&build);
+        std::string& buf = writer.buf();
         size_t wbytes = 0;
         for (const auto& buckets : scatter) {
           if (!st.ok()) break;
@@ -914,10 +832,7 @@ JoinPairs GraceJoinPairsKeys(const JoinKeyColumn& probe,
         }
         if (st.ok()) {
           spill_ok[p] = 1;
-          sc.rows_written.fetch_add(writer.rows(), std::memory_order_relaxed);
-          sc.pages_written.fetch_add(writer.pages(),
-                                     std::memory_order_relaxed);
-          sc.bytes_written.fetch_add(wbytes, std::memory_order_relaxed);
+          sc.AddWritten(writer.rows(), writer.pages(), wbytes);
         } else {
           build_runs[p].Discard();
         }
@@ -935,94 +850,51 @@ JoinPairs GraceJoinPairsKeys(const JoinKeyColumn& probe,
   }
 
   // 4. Build the resident partitions' tables (chunk order, as ever).
-  std::vector<JoinPartitionTable> parts(nparts);
-  {
-    TaskGroup tg(exec.pool);
-    for (size_t p = 0; p < nparts; ++p) {
-      if (!resident[p]) continue;
-      tg.Run([&, p] {
-        size_t total = 0;
-        for (const auto& buckets : scatter) total += buckets[p].size();
-        parts[p].Reserve(total);
-        for (const auto& buckets : scatter)
-          for (const auto& [h, idx] : buckets[p]) parts[p].Insert(h, idx);
-      });
-    }
-  }
+  const std::vector<JoinPartitionTable> parts =
+      BuildPartitions(scatter, nparts, exec, &resident);
 
   // 5. Probe, streaming: rows hitting a resident partition emit pairs into
   // per-morsel buffers; rows hitting a spilled partition accumulate into
   // per-morsel key pages, flushed to the partition's probe run under a
   // per-partition mutex. Run write order is irrelevant — page slots carry
   // their probe index and the final sort restores order.
-  const size_t nprobe =
-      probe.size() == 0
-          ? 0
-          : std::clamp<size_t>(probe.size() / kMinProbeRowsPerMorsel, 1,
-                               workers * 4);
-  std::vector<JoinPairs> partial(nprobe);
   std::vector<uint8_t> probe_spill_ok(nparts, 1);
   // Leaf locks: workers hold nothing else while flushing a spill buffer.
   const std::unique_ptr<Mutex[]> part_mu(new Mutex[nparts]);
-  if (nprobe > 0) {
-    const size_t probe_rows = (probe.size() + nprobe - 1) / nprobe;
-    std::atomic<size_t> next{0};
-    TaskGroup tg(exec.pool);
-    for (size_t w = 0; w < std::min(workers, nprobe); ++w) {
-      tg.Run([&] {
-        std::vector<std::string> bufs(nparts);
-        std::vector<SpillPageWriter> writers;
-        writers.reserve(nparts);
-        for (size_t p = 0; p < nparts; ++p)
-          writers.emplace_back(&probe, &bufs[p]);
-        for (size_t m = next.fetch_add(1, std::memory_order_relaxed);
-             m < nprobe; m = next.fetch_add(1, std::memory_order_relaxed)) {
-          const size_t lo = m * probe_rows;
-          const size_t hi = std::min(probe.size(), lo + probe_rows);
-          JoinPairs& pout = partial[m];
-          for (size_t i = lo; i < hi; ++i) {
-            if (!probe.valid[i]) continue;
-            const uint64_t h = probe.hashes[i] & hash_mask;
-            const size_t p = h & part_mask;
-            if (resident[p]) {
-              parts[p].ForEachHashMatch(h, [&](uint32_t r) {
-                if (!JoinKeyEquals(probe, i, build, r)) return;
-                pout.emplace_back(static_cast<uint32_t>(i), r);
-              });
-            } else {
-              writers[p].Add(static_cast<uint32_t>(i), i);
-            }
-          }
-          for (size_t p = 0; p < nparts; ++p) {
-            writers[p].Flush();
-            if (bufs[p].empty()) continue;
-            MutexLock lock(&part_mu[p]);
-            Status st;
-            if (!probe_runs[p].is_open())
-              st = probe_runs[p].Open(dir, "p" + std::to_string(p));
-            if (st.ok()) st = probe_runs[p].Append(bufs[p]);
-            if (st.ok()) {
-              sc.rows_written.fetch_add(writers[p].rows(),
-                                        std::memory_order_relaxed);
-              sc.pages_written.fetch_add(writers[p].pages(),
-                                         std::memory_order_relaxed);
-              sc.bytes_written.fetch_add(bufs[p].size(),
-                                         std::memory_order_relaxed);
-            } else {
-              probe_spill_ok[p] = 0;  // guarded by part_mu[p]
-            }
-            bufs[p].clear();
-            writers[p].ResetCounters();
-          }
+  JoinPairs pairs = ProbeMorsels(probe.size(), workers, exec, [&] {
+    return [&, writers = std::vector<SpillPageWriter>(
+                   nparts, SpillPageWriter(&probe))](
+               size_t lo, size_t hi, JoinPairs* pout) mutable {
+      for (size_t i = lo; i < hi; ++i) {
+        if (!probe.valid[i]) continue;
+        const uint64_t h = probe.hashes[i] & hash_mask;
+        const size_t p = h & part_mask;
+        if (resident[p]) {
+          parts[p].ForEachHashMatch(h, [&](uint32_t r) {
+            if (!JoinKeyEquals(probe, i, build, r)) return;
+            pout->emplace_back(static_cast<uint32_t>(i), r);
+          });
+        } else {
+          writers[p].Add(static_cast<uint32_t>(i), i);
         }
-      });
-    }
-  }
-  JoinPairs pairs;
-  size_t total = 0;
-  for (const auto& m : partial) total += m.size();
-  pairs.reserve(total);
-  for (const auto& m : partial) pairs.insert(pairs.end(), m.begin(), m.end());
+      }
+      for (size_t p = 0; p < nparts; ++p) {
+        SpillPageWriter& wr = writers[p];
+        wr.Flush();
+        if (wr.buf().empty()) continue;
+        MutexLock lock(&part_mu[p]);
+        Status st;
+        if (!probe_runs[p].is_open())
+          st = probe_runs[p].Open(dir, "p" + std::to_string(p));
+        if (st.ok()) st = probe_runs[p].Append(wr.buf());
+        if (st.ok())
+          sc.AddWritten(wr.rows(), wr.pages(), wr.buf().size());
+        else
+          probe_spill_ok[p] = 0;  // guarded by part_mu[p]
+        wr.Reset();
+      }
+    };
+  });
 
   // 6. Join the spilled partitions one at a time (index order). Any I/O
   // failure — including a probe flush that failed above — falls back to
@@ -1072,12 +944,6 @@ JoinPairs GraceJoinPairsKeys(const JoinKeyColumn& probe,
 
 }  // namespace
 
-size_t EstimateRowsBytes(const std::vector<Row>& rows) {
-  size_t bytes = 0;
-  for (const Row& r : rows) bytes += r.MemoryBytes();
-  return bytes;
-}
-
 std::vector<size_t> EstimateBatchRowBytes(
     const std::vector<ColumnBatch>& batches) {
   std::vector<size_t> out;
@@ -1098,7 +964,6 @@ std::vector<size_t> EstimateBatchRowBytes(
 
 Value JoinKeyColumn::GetValue(size_t i) const {
   if (!valid[i]) return Value::Null();
-  if (mixed) return boxed[i];
   switch (type) {
     case Type::kInt64: return Value(ints[i]);
     case Type::kDouble: return Value(doubles[i]);
@@ -1109,7 +974,6 @@ Value JoinKeyColumn::GetValue(size_t i) const {
 
 bool JoinKeyEquals(const JoinKeyColumn& a, size_t i, const JoinKeyColumn& b,
                    size_t j) {
-  if (a.mixed || b.mixed) return a.GetValue(i) == b.GetValue(j);
   if (a.type == b.type) {
     switch (a.type) {
       case Type::kInt64: return a.ints[i] == b.ints[j];
@@ -1126,76 +990,6 @@ bool JoinKeyEquals(const JoinKeyColumn& a, size_t i, const JoinKeyColumn& b,
   const double bv =
       b.type == Type::kInt64 ? static_cast<double>(b.ints[j]) : b.doubles[j];
   return av == bv;
-}
-
-JoinKeyColumn ExtractJoinKeys(const std::vector<Row>& rows, int col) {
-  JoinKeyColumn k;
-  const auto c = static_cast<size_t>(col);
-  const size_t n = rows.size();
-  k.valid.assign(n, 0);
-  k.hashes.assign(n, 0);
-
-  // Pass 1: are the non-NULL keys homogeneously typed?
-  bool seen = false;
-  for (const Row& r : rows) {
-    const Value& v = r.Get(c);
-    if (v.is_null()) continue;
-    if (!seen) {
-      k.type = v.type();
-      seen = true;
-    } else if (v.type() != k.type) {
-      k.mixed = true;
-      break;
-    }
-  }
-
-  if (k.mixed) {
-    k.boxed.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      const Value& v = rows[i].Get(c);
-      k.boxed.push_back(v);
-      if (v.is_null()) continue;
-      k.valid[i] = 1;
-      k.hashes[i] = v.Hash();
-    }
-    return k;
-  }
-
-  switch (k.type) {
-    case Type::kInt64:
-      k.ints.assign(n, 0);
-      for (size_t i = 0; i < n; ++i) {
-        const Value& v = rows[i].Get(c);
-        if (v.is_null()) continue;
-        const int64_t x = v.AsInt64();
-        k.ints[i] = x;
-        k.hashes[i] = HashInt64(x);
-        k.valid[i] = 1;
-      }
-      break;
-    case Type::kDouble:
-      k.doubles.assign(n, 0);
-      for (size_t i = 0; i < n; ++i) {
-        const Value& v = rows[i].Get(c);
-        if (v.is_null()) continue;
-        const double x = v.AsDouble();
-        k.doubles[i] = x;
-        k.hashes[i] = HashDouble(x);
-        k.valid[i] = 1;
-      }
-      break;
-    case Type::kString:
-      k.strs.resize(n);
-      for (size_t i = 0; i < n; ++i) {
-        const Value& v = rows[i].Get(c);
-        if (v.is_null()) continue;
-        k.strs[i] = v.AsString();
-        k.hashes[i] = HashString(k.strs[i]);
-        k.valid[i] = 1;
-      }
-      break;
-  }
-  return k;
 }
 
 JoinKeyColumn ExtractJoinKeys(const std::vector<ColumnBatch>& batches,
@@ -1253,11 +1047,8 @@ namespace {
 /// per-slot footprint (all that would spill anyway).
 std::vector<size_t> KeySlotBytes(const JoinKeyColumn& k) {
   std::vector<size_t> w(k.size(), sizeof(uint32_t) + sizeof(int64_t));
-  if (k.mixed) {
-    for (size_t i = 0; i < k.size(); ++i) w[i] = k.boxed[i].MemoryBytes();
-  } else if (k.type == Type::kString) {
+  if (k.type == Type::kString)
     for (size_t i = 0; i < k.size(); ++i) w[i] += k.strs[i].capacity();
-  }
   return w;
 }
 
@@ -1313,77 +1104,19 @@ JoinPairs HashJoinPairsKeys(const JoinKeyColumn& probe,
     const size_t nparts = JoinPartitionCount(workers);
     const uint64_t part_mask = nparts - 1;
 
-    // 1. Partition pass: contiguous key chunks scatter (hash, slot) pairs
-    // into per-chunk partition buffers. Workers never share a buffer.
-    const size_t nchunks = std::clamp<size_t>(
-        build.size() / kMinScatterRowsPerChunk, 1, workers);
-    const size_t chunk_rows = (build.size() + nchunks - 1) / nchunks;
-    std::vector<std::vector<std::vector<std::pair<uint64_t, uint32_t>>>>
-        scatter(nchunks);
-    {
-      TaskGroup tg(exec.pool);
-      for (size_t c = 0; c < nchunks; ++c) {
-        tg.Run([&, c] {
-          auto& buckets = scatter[c];
-          buckets.resize(nparts);
-          const size_t hi = std::min(build.size(), (c + 1) * chunk_rows);
-          for (size_t i = c * chunk_rows; i < hi; ++i) {
-            if (!build.valid[i]) continue;
-            const uint64_t h = build.hashes[i] & hash_mask;
-            buckets[h & part_mask].emplace_back(h, static_cast<uint32_t>(i));
-          }
-        });
-      }
-    }
+    // 1–2. Partition, then build each partition's table as a morsel.
+    const std::vector<JoinPartitionTable> parts = BuildPartitions(
+        ScatterBuild(build, nparts, workers, exec, nullptr, nullptr), nparts,
+        exec);
 
-    // 2. Build pass: each partition's table is an independent morsel.
-    // Chunk buffers merge in chunk order, so per-hash chains hold build
-    // rows in input order exactly as the serial build does.
-    std::vector<JoinPartitionTable> parts(nparts);
-    {
-      TaskGroup tg(exec.pool);
-      for (size_t p = 0; p < nparts; ++p) {
-        tg.Run([&, p] {
-          size_t total = 0;
-          for (const auto& buckets : scatter) total += buckets[p].size();
-          parts[p].Reserve(total);
-          for (const auto& buckets : scatter)
-            for (const auto& [h, idx] : buckets[p]) parts[p].Insert(h, idx);
-        });
-      }
-    }
-
-    // 3. Probe pass: probe chunks are morsels claimed through a shared
-    // cursor; per-morsel pair outputs concatenate in morsel order,
-    // preserving probe input order — byte-identical to the serial join.
-    const size_t nprobe =
-        probe.size() == 0
-            ? 0
-            : std::clamp<size_t>(probe.size() / kMinProbeRowsPerMorsel, 1,
-                                 workers * 4);
-    std::vector<JoinPairs> partial(nprobe);
-    if (nprobe > 0) {
-      const size_t probe_rows = (probe.size() + nprobe - 1) / nprobe;
-      std::atomic<size_t> next{0};
-      TaskGroup tg(exec.pool);
-      for (size_t w = 0; w < std::min(workers, nprobe); ++w) {
-        tg.Run([&] {
-          for (size_t m = next.fetch_add(1, std::memory_order_relaxed);
-               m < nprobe; m = next.fetch_add(1, std::memory_order_relaxed)) {
-            const size_t lo = m * probe_rows;
-            const size_t hi = std::min(probe.size(), lo + probe_rows);
-            ProbePairsRangeKeys(probe, lo, hi, build, parts, part_mask,
-                                hash_mask, &partial[m]);
-          }
-        });
-      }
-    }
-    size_t total = 0;
-    for (const auto& m : partial) total += m.size();
-    pairs.reserve(total);
-    for (const auto& m : partial)
-      pairs.insert(pairs.end(), m.begin(), m.end());
-
+    // 3. Probe pass: per-morsel pairs concatenate in probe input order —
+    // byte-identical to the serial join.
+    pairs = ProbeMorsels(probe.size(), workers, exec, [&] {
+      return [&](size_t lo, size_t hi, JoinPairs* out) {
+        ProbePairsRangeKeys(probe, lo, hi, build, parts, part_mask, hash_mask,
+                            out);
+      };
+    });
     js->partitions = nparts;
     js->parallel = true;
   }
@@ -1391,87 +1124,6 @@ JoinPairs HashJoinPairsKeys(const JoinKeyColumn& probe,
   js->output_rows = pairs.size();
   js->seconds = sw.ElapsedSeconds();
   return pairs;
-}
-
-JoinPairs HashJoinPairs(const std::vector<Row>& probe,
-                        const std::vector<Row>& build, int probe_col,
-                        int build_col, const ExecContext& exec,
-                        JoinStats* stats) {
-  const Stopwatch sw;
-  JoinStats local;
-  JoinStats* js = stats != nullptr ? stats : &local;
-  js->build_rows = build.size();
-  js->probe_rows = probe.size();
-
-  // All regimes run on extracted key columns: typed values plus precomputed
-  // hashes, so the serial and radix loops never box a Value, and the grace
-  // path spills only (index, key) pages. The typed hashes equal Value::Hash,
-  // keeping pair order byte-identical to the historical row-at-a-time join.
-  // Grace-budget weights are the rows' materialized footprints, so a given
-  // budget spills exactly when the historical row spill did.
-  std::vector<size_t> weights;
-  const std::vector<size_t>* wp = nullptr;
-  if (exec.join_spill_budget_bytes > 0) {
-    weights.reserve(build.size());
-    for (const Row& r : build) weights.push_back(r.MemoryBytes());
-    wp = &weights;
-  }
-  JoinPairs pairs =
-      HashJoinPairsKeys(ExtractJoinKeys(probe, probe_col),
-                        ExtractJoinKeys(build, build_col), exec, js, wp);
-
-  js->build_rows = build.size();
-  js->probe_rows = probe.size();
-  js->output_rows = pairs.size();
-  js->seconds = sw.ElapsedSeconds();
-  return pairs;
-}
-
-std::vector<Row> MaterializeJoinPairs(const std::vector<Row>& probe,
-                                      const std::vector<Row>& build,
-                                      const JoinPairs& pairs,
-                                      bool build_side_first,
-                                      const ExecContext& exec) {
-  std::vector<Row> out(pairs.size());
-  const auto emit = [&](size_t lo, size_t hi) {
-    for (size_t k = lo; k < hi; ++k) {
-      const Row& l = probe[pairs[k].first];
-      const Row& r = build[pairs[k].second];
-      out[k] = build_side_first ? ConcatRows(r, l) : ConcatRows(l, r);
-    }
-  };
-  if (exec.parallel() && pairs.size() >= 2 * kMinProbeRowsPerMorsel) {
-    // Workers fill disjoint ranges of the pre-sized output in place.
-    const size_t nchunks = std::min(exec.max_parallelism,
-                                    pairs.size() / kMinProbeRowsPerMorsel);
-    const size_t chunk = (pairs.size() + nchunks - 1) / nchunks;
-    TaskGroup tg(exec.pool);
-    for (size_t c = 0; c < nchunks; ++c)
-      tg.Run([&, c] { emit(c * chunk, std::min(pairs.size(), (c + 1) * chunk)); });
-  } else {
-    emit(0, pairs.size());
-  }
-  return out;
-}
-
-std::vector<Row> HashJoin(const std::vector<Row>& left,
-                          const std::vector<Row>& right, int left_col,
-                          int right_col) {
-  return HashJoin(left, right, left_col, right_col, ExecContext{}, nullptr);
-}
-
-std::vector<Row> HashJoin(const std::vector<Row>& left,
-                          const std::vector<Row>& right, int left_col,
-                          int right_col, const ExecContext& exec,
-                          JoinStats* stats) {
-  const Stopwatch sw;
-  const JoinPairs pairs =
-      HashJoinPairs(left, right, left_col, right_col, exec, stats);
-  std::vector<Row> out = MaterializeJoinPairs(left, right, pairs,
-                                              /*build_side_first=*/false,
-                                              exec);
-  if (stats != nullptr) stats->seconds = sw.ElapsedSeconds();
-  return out;
 }
 
 void SortLimit(std::vector<Row>* rows, int col, bool desc, size_t limit) {
@@ -1488,14 +1140,6 @@ void SortLimit(std::vector<Row>* rows, int col, bool desc, size_t limit) {
   } else {
     std::stable_sort(rows->begin(), rows->end(), cmp);
   }
-}
-
-std::vector<Row> Project(const std::vector<Row>& rows,
-                         const std::vector<int>& projection) {
-  std::vector<Row> out;
-  out.reserve(rows.size());
-  for (const Row& r : rows) out.push_back(ProjectRow(r, projection));
-  return out;
 }
 
 }  // namespace htap

@@ -1,27 +1,29 @@
-// The block executor: scans (row, columnar, HTAP delta+column union),
-// hash join, hash aggregation, sort/limit, projection.
+// The block executor: every operator consumes and produces ColumnBatches
+// (DESIGN.md §12); rows appear only at the API edge (QueryResult, after
+// the final BatchesToRows).
 //
 // Operators materialize their full output — at the scale of this library the
-// simplicity is worth more than pipelining, and the benchmark comparisons
-// (row vs column vs hybrid access paths) are unaffected because all paths
-// share the same materialization discipline.
+// simplicity is worth more than pipelining.
 //
 // Map of this header (each operator links its DESIGN.md section):
 //
-//   ScanRowStore / ScanHtap    serial + morsel-driven scans ....... DESIGN §7
-//   HashAggregate              one typed group table, serial or ... DESIGN §7
-//                              partial tables merged in input order
-//   HashJoinPairs / HashJoin   hash equi-join; three regimes ...... DESIGN §§8–9
+//   ScanRowStore         MVCC row store -> typed batches ...... DESIGN §7
+//   ScanHtapBatches      column main + delta union -> ......... DESIGN §7, §12
+//                        batches, predicates on the encoded
+//                        segments
+//   HashAggregate        one typed group table, serial or ..... DESIGN §7
+//                        partial tables merged in input order
+//   ExtractJoinKeys +    hash equi-join over typed key ........ DESIGN §8, §13
+//   HashJoinPairsKeys    columns; three regimes (grace: §9):
 //     - serial: one chained table (small builds)
 //     - radix-partitioned parallel: scatter/build/probe morsels
-//     - grace (out-of-core): oversized partitions spill both sides' join
-//       keys as columnar (index, key) pages to temporary on-disk runs
+//     - grace (out-of-core): oversized partitions spill their join keys
+//       as columnar (index, key) pages to temporary on-disk runs
 //       (src/storage/spill_file.h) and join partition-at-a-time,
 //       recursively re-partitioning skewed partitions; triggered by
 //       ExecContext::join_spill_budget_bytes. Payload columns never spill
-//       — materialization happens after the pair set is final (§13).
-//   MaterializeJoinPairs       (probe,build) index pairs -> rows
-//   SortLimit / Project        output shaping
+//       — the query runner gathers them after the pair set is final (§13).
+//   SortLimit            output shaping on the result rows
 //
 // Scans, aggregation, and the hash join are morsel-driven when given an
 // ExecContext with a thread pool: one morsel per row group (column scans),
@@ -31,10 +33,10 @@
 // Determinism contract: every operator here returns output byte-identical
 // to its serial execution at any thread count (the parallel aggregate's
 // SUM/AVG excepted: partial sums merge, so they may round differently;
-// its groups and their order match), and the joins additionally
-// match a nested-loop reference (probe rows in input order; per probe row,
-// matches in build-input order). Build-side and join-order selection live
-// one layer up (src/opt/join_planner.h, applied by core/query_runner.cc),
+// its groups and their order match), and the join's pairs match a
+// nested-loop reference (probe rows in input order; per probe row, matches
+// in build-input order). Build-side and join-order selection live one
+// layer up (src/opt/join_planner.h, applied by core/query_runner.cc),
 // which restores the same nested-loop order after reordering.
 
 #ifndef HTAP_EXEC_EXECUTOR_H_
@@ -95,16 +97,10 @@ struct ExecContext {
   CSN committed_csn = 0;
   uint64_t stats_staleness_csns = 65536;
 
-  /// Rows per ColumnBatch emitted by the vectorized scan (DESIGN.md §12).
-  /// Mirrors DatabaseOptions::vectorized_batch_rows; 0 = one batch per row
-  /// group.
+  /// Rows per ColumnBatch emitted by the scans (DESIGN.md §12). Mirrors
+  /// DatabaseOptions::vectorized_batch_rows; 0 = one batch per row group
+  /// (column scans) or per key range (row scans).
   size_t batch_rows = 4096;
-
-  /// Batch-native joins with late materialization (DESIGN.md §13). Mirrors
-  /// DatabaseOptions::vectorized_join; the query runner additionally
-  /// requires every join input to scan as batches and the planner's
-  /// materialization cost model to prefer the late regime.
-  bool vectorized_join = true;
 
   bool parallel() const { return pool != nullptr && max_parallelism > 1; }
 };
@@ -137,55 +133,35 @@ struct QueryResult {
   std::string ToString(size_t max_rows = 20) const;
 };
 
-/// Scans an MVCC row store at a snapshot. `projection` lists output columns
-/// (empty = all).
-std::vector<Row> ScanRowStore(const MvccRowStore& store, const Snapshot& snap,
-                              const Predicate& pred,
-                              const std::vector<int>& projection);
+/// Scans an MVCC row store at a snapshot into schema-typed batches of at
+/// most exec.batch_rows rows. `projection` lists output columns (empty =
+/// all). With a pool, range-partitions the key space into one morsel per
+/// worker and concatenates per-range batches in key-range order, so the
+/// rows equal the serial scan's exactly (key order preserved).
+std::vector<ColumnBatch> ScanRowStore(const MvccRowStore& store,
+                                      const Snapshot& snap,
+                                      const Predicate& pred,
+                                      const std::vector<int>& projection,
+                                      const ExecContext& exec);
 
-/// Parallel variant: range-partitions the key space into one morsel per
-/// worker and merges per-range output in key-range order, so the result
-/// equals the serial scan exactly (key order preserved).
-std::vector<Row> ScanRowStore(const MvccRowStore& store, const Snapshot& snap,
-                              const Predicate& pred,
-                              const std::vector<int>& projection,
-                              const ExecContext& exec);
-
-/// The HTAP scan: main column store unioned with a delta store at snapshot
-/// CSN `snapshot`. Pass delta == nullptr for a pure column scan (the
-/// SingleStore-style technique — fast, but blind to unmerged changes).
+/// The HTAP scan (DESIGN.md §§7, 12): main column store unioned with a
+/// delta store at snapshot CSN `snapshot`. Pass delta == nullptr for a pure
+/// column scan (the SingleStore-style technique — fast, but blind to
+/// unmerged changes).
 ///
 /// Correctness contract (tested as the delta/column-union invariant): the
 /// result equals scanning a row-store snapshot at `snapshot`, provided
 /// every change with csn <= snapshot is in the column store or the delta.
 ///
-/// The delta union is a position overlay (DESIGN.md §7): one pass over the
-/// visible delta, under the table's shared latch, keeps the latest entry
-/// per key; each overridden key hides its one main position through the
-/// table's key index. Output is the main row groups in group order, then
-/// the surviving delta rows in the commit order of each key's latest entry.
-std::vector<Row> ScanHtap(const ColumnTable& table, const DeltaReader* delta,
-                          CSN snapshot, const Predicate& pred,
-                          const std::vector<int>& projection,
-                          ScanStats* stats = nullptr);
-
-/// Morsel-driven variant: the delta pass runs first on the calling thread,
-/// then each row group is one morsel, fanned out across `exec.pool` and
-/// merged in row-group order — output is byte-identical to the serial scan.
-std::vector<Row> ScanHtap(const ColumnTable& table, const DeltaReader* delta,
-                          CSN snapshot, const Predicate& pred,
-                          const std::vector<int>& projection,
-                          const ExecContext& exec, ScanStats* stats);
-
-/// The vectorized HTAP scan (DESIGN.md §12): identical visibility and
-/// predicate semantics to ScanHtap, but predicates evaluate directly on the
-/// encoded segments (src/exec/segment_filter.h) and survivors gather into
-/// compacted ColumnBatches of at most exec.batch_rows rows instead of
-/// materializing Row objects. Batches arrive in row-group order with the
-/// delta rows last, written straight into typed batches by the delta pass
-/// (a row superseded by a later entry for its key drops out through the
-/// batch's selection vector), so BatchesToRows(result) is byte-identical
-/// to ScanHtap's output — serial or morsel-parallel, at any thread count.
+/// The delta union is a position overlay: one pass over the visible delta,
+/// under the table's shared latch, keeps the latest entry per key; each
+/// overridden key hides its one main position through the table's key
+/// index. Predicates evaluate directly on the encoded segments
+/// (src/exec/segment_filter.h) and survivors gather into compacted batches
+/// of at most exec.batch_rows rows. Batches arrive in row-group order, then
+/// the surviving delta rows in the commit order of each key's latest entry
+/// (a row superseded by a later entry drops out through the batch's
+/// selection vector) — serial or morsel-parallel, at any thread count.
 /// Delta rows must match the table schema's column types (the same
 /// invariant the merge path relies on).
 std::vector<ColumnBatch> ScanHtapBatches(const ColumnTable& table,
@@ -212,10 +188,10 @@ struct JoinStats {
   size_t spill_pages_written = 0;  // columnar key pages (DESIGN.md §13)
   size_t spill_pages_read = 0;
   size_t spill_max_recursion = 0;  // deepest re-partition level (0 = none)
-  /// Batch-pipeline counters, filled by the query runner's batch join
-  /// (DESIGN.md §13), zero on the row path: input ColumnBatches consumed
-  /// across all join inputs, and output rows whose payload columns were
-  /// gathered only after every join filter ran (late materialization).
+  /// Join-pipeline counters, filled by the query runner (DESIGN.md §13):
+  /// input ColumnBatches consumed across all join inputs, and output rows
+  /// whose payload columns were gathered only after every join filter ran
+  /// (late materialization).
   size_t join_batches = 0;
   size_t rows_late_materialized = 0;
   double seconds = 0;      // wall time inside the operator
@@ -226,29 +202,14 @@ struct JoinStats {
 /// one probe index, build index ascending (= build input order).
 using JoinPairs = std::vector<std::pair<uint32_t, uint32_t>>;
 
-/// Hash inner-equi-join core: probes `probe` against a table built on
-/// `build`, returning matching index pairs (NULL keys never match). Picks
-/// the serial, radix-partitioned parallel, or grace (spilling) regime from
-/// `exec` — see the header comment. The pair order is identical across all
-/// regimes and thread counts.
-JoinPairs HashJoinPairs(const std::vector<Row>& probe,
-                        const std::vector<Row>& build, int probe_col,
-                        int build_col, const ExecContext& exec,
-                        JoinStats* stats = nullptr);
-
-/// One join input's key column, extracted in a single vectorized pass:
-/// typed values plus precomputed Value::Hash-consistent hashes. Invalid
-/// slots (NULL keys, or positions past a short row) never match. When a
-/// row-extracted column holds a mix of value types, it falls back to boxed
-/// Values — equality then runs through Value::Compare, exactly as the
-/// row-at-a-time join did.
+/// One join input's key column, extracted in a single vectorized pass from
+/// typed scan batches: values plus precomputed Value::Hash-consistent
+/// hashes. Invalid slots (NULL keys) never match.
 struct JoinKeyColumn {
   Type type = Type::kInt64;
-  bool mixed = false;             // boxed fallback active
-  std::vector<int64_t> ints;      // type == kInt64, !mixed
-  std::vector<double> doubles;    // type == kDouble, !mixed
-  std::vector<std::string> strs;  // type == kString, !mixed
-  std::vector<Value> boxed;       // mixed only
+  std::vector<int64_t> ints;      // type == kInt64
+  std::vector<double> doubles;    // type == kDouble
+  std::vector<std::string> strs;  // type == kString
   std::vector<uint64_t> hashes;   // unmasked; meaningless at invalid slots
   std::vector<uint8_t> valid;
 
@@ -261,62 +222,32 @@ struct JoinKeyColumn {
 bool JoinKeyEquals(const JoinKeyColumn& a, size_t i, const JoinKeyColumn& b,
                    size_t j);
 
-/// Extracts the join key column from rows / from scan batches.
-JoinKeyColumn ExtractJoinKeys(const std::vector<Row>& rows, int col);
+/// Extracts column `col` of the batches' active rows, in order (the dense
+/// active index is the join's row identity).
 JoinKeyColumn ExtractJoinKeys(const std::vector<ColumnBatch>& batches,
                               int col);
 
-/// The join core over pre-extracted keys: serial, radix-partitioned
-/// parallel, or grace (spilling) regime. The grace path triggers when
-/// exec.join_spill_budget_bytes is set and the build side's estimated
-/// footprint exceeds it; `build_weights` (parallel to `build`, optional)
-/// supplies per-slot footprints — callers joining rows pass Row::MemoryBytes
-/// so budget semantics match the historical row spill, batch callers pass
-/// payload estimates (EstimateBatchRowBytes), and without weights the key
-/// column's own footprint is used. Spilled partitions hold only (input
-/// index, key) column-slice pages (src/storage/spill_file.h) — payloads are
-/// late-materialized after the join, so they never touch disk. Pair order
-/// is the same nested-loop order in every regime.
+/// The hash inner-equi-join: probes `probe` against a table built on
+/// `build`, returning matching index pairs (NULL keys never match) in
+/// nested-loop order, identical across the serial, radix-partitioned
+/// parallel, and grace (spilling) regimes and every thread count. The grace
+/// path triggers when exec.join_spill_budget_bytes is set and the build
+/// side's estimated footprint exceeds it; `build_weights` (parallel to
+/// `build`, optional) supplies per-slot footprints — the query runner
+/// passes EstimateBatchRowBytes — and without weights the key column's own
+/// footprint is used. Spilled partitions hold only (input index, key)
+/// column-slice pages (src/storage/spill_file.h) — payloads are
+/// late-materialized after the join, so they never touch disk.
 JoinPairs HashJoinPairsKeys(const JoinKeyColumn& probe,
                             const JoinKeyColumn& build,
                             const ExecContext& exec,
                             JoinStats* stats = nullptr,
                             const std::vector<size_t>* build_weights = nullptr);
 
-/// Materializes join pairs as concatenated rows, one per pair, in pair
-/// order: probe ++ build columns, or build ++ probe when
-/// `build_side_first` (used by the planner's build-side swap to restore
-/// the plan's left ++ right layout). Parallel over `exec` when available.
-std::vector<Row> MaterializeJoinPairs(const std::vector<Row>& probe,
-                                      const std::vector<Row>& build,
-                                      const JoinPairs& pairs,
-                                      bool build_side_first = false,
-                                      const ExecContext& exec = ExecContext{});
-
-/// Hash inner-equi-join: emits left ++ right rows. Builds on `right`.
-/// Output order is nested-loop order — left rows in input order, and for
-/// each left row its matches in right (build) input order.
-std::vector<Row> HashJoin(const std::vector<Row>& left,
-                          const std::vector<Row>& right, int left_col,
-                          int right_col);
-
-/// As above with execution resources: radix-partitioned parallel morsels
-/// when `exec` has a pool (build rows ≥ exec.min_parallel_join_build), and
-/// the out-of-core grace path when exec.join_spill_budget_bytes is set and
-/// the build side exceeds it — byte-identical output in every regime.
-std::vector<Row> HashJoin(const std::vector<Row>& left,
-                          const std::vector<Row>& right, int left_col,
-                          int right_col, const ExecContext& exec,
-                          JoinStats* stats = nullptr);
-
-/// Estimated in-memory footprint of `rows` (sum of Row::MemoryBytes) — the
-/// quantity compared against join_spill_budget_bytes.
-size_t EstimateRowsBytes(const std::vector<Row>& rows);
-
 /// Per-active-row footprint estimates for batch join inputs, one entry per
-/// dense active position in batch order — the batch pipeline's equivalent
-/// of Row::MemoryBytes for grace-budget accounting (same formula, so a
-/// given budget spills the batch and row regimes alike).
+/// dense active position in batch order: the materialized row's size by the
+/// Row::MemoryBytes formula (Row shell, one Value per column, string heap
+/// payloads) — the quantity grace budgets are compared against.
 std::vector<size_t> EstimateBatchRowBytes(
     const std::vector<ColumnBatch>& batches);
 
@@ -330,52 +261,26 @@ struct AggStats {
   double seconds = 0;     // wall time inside the operator
 };
 
-/// Hash aggregation over one typed group table (DESIGN.md §§7, 12). With
-/// empty `group_cols`, emits one global row. Output row layout: group values
-/// then one value per AggSpec. Groups come out in first-seen input order.
-/// NULL group keys form one group. Every function but COUNT(*) (column -1)
-/// skips NULL inputs: COUNT(col) counts non-NULL values, AVG divides by
-/// them, and SUM/MIN/MAX/AVG of a group with none is NULL. SUM and AVG
-/// accumulate in double in input order; MIN/MAX keep the input's type.
-///
-/// The row overloads transpose just the group and aggregate columns into
-/// typed batches and run the same table. Each column's type is that of its
-/// first non-NULL value; a column mixing int64 and double widens to double
-/// (a string among numbers breaks schema typing and throws, as it does in
-/// the column store).
-std::vector<Row> HashAggregate(const std::vector<Row>& rows,
-                               const std::vector<int>& group_cols,
-                               const std::vector<AggSpec>& aggs);
-
-/// Parallel variant: workers transpose contiguous row ranges, then
-/// aggregate as the batch overload below. Groups keep first-seen order;
-/// SUM/AVG may differ from the serial result only by floating-point
-/// rounding.
-std::vector<Row> HashAggregate(const std::vector<Row>& rows,
-                               const std::vector<int>& group_cols,
-                               const std::vector<AggSpec>& aggs,
-                               const ExecContext& exec,
-                               AggStats* stats = nullptr);
-
-/// Batch aggregation: groups and aggregates directly over column batches
-/// under their selection vectors — no row materialization and no Value per
-/// row. Serially, the output equals HashAggregate(BatchesToRows(batches),
-/// ...) value for value. With a pool, each worker absorbs a contiguous
-/// range of whole batches into a partial table; partials merge in range
-/// order.
+/// Hash aggregation over one typed group table (DESIGN.md §§7, 12): groups
+/// and aggregates directly over column batches under their selection
+/// vectors — no Value per row. With empty `group_cols`, emits one global
+/// row. Output row layout: group values then one value per AggSpec. Groups
+/// come out in first-seen input order. NULL group keys form one group.
+/// Every function but COUNT(*) (column -1) skips NULL inputs: COUNT(col)
+/// counts non-NULL values, AVG divides by them, and SUM/MIN/MAX/AVG of a
+/// group with none is NULL. SUM and AVG accumulate in double in input
+/// order; MIN/MAX keep the input's type. With a pool, each worker absorbs a
+/// contiguous range of whole batches into a partial table; partials merge
+/// in range order.
 std::vector<Row> HashAggregate(const std::vector<ColumnBatch>& batches,
                                const std::vector<int>& group_cols,
                                const std::vector<AggSpec>& aggs,
-                               const ExecContext& exec,
+                               const ExecContext& exec = ExecContext{},
                                AggStats* stats = nullptr);
 
 /// Sorts by `col` (ascending unless `desc`), keeps first `limit` rows
 /// (limit == 0 means all).
 void SortLimit(std::vector<Row>* rows, int col, bool desc, size_t limit);
-
-/// Keeps only `projection` columns of each row.
-std::vector<Row> Project(const std::vector<Row>& rows,
-                         const std::vector<int>& projection);
 
 }  // namespace htap
 

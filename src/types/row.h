@@ -1,6 +1,6 @@
 // Row: the row-at-a-time tuple representation used by the OLTP path, the
-// delta stores, and operator output. The columnar engine converts rows to
-// column vectors at merge time.
+// row stores, and query results (QueryResult); the AP operators exchange
+// column batches instead.
 
 #ifndef HTAP_TYPES_ROW_H_
 #define HTAP_TYPES_ROW_H_

@@ -1,6 +1,7 @@
 // HashAggregate property test (DESIGN.md §§7, 12): the typed group table,
-// fed rows or batches, serially or with partial tables on a pool, against a
-// deliberately naive sort-based reference aggregate that lives only here.
+// fed batches serially or with partial tables on a pool, against the
+// deliberately naive sort-based reference aggregate of the tests' reference
+// executor (tests/reference_executor.h).
 //
 // Inputs are seeded and randomized: 0-3 group columns of int64, double and
 // string (NULL keys included, and ±0.0 in double keys), NULL inputs, all
@@ -24,11 +25,10 @@
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "exec/executor.h"
+#include "reference_executor.h"
 
 namespace htap {
 namespace {
-
-// ---- The reference ---------------------------------------------------------
 
 int CompareKeys(const Row& a, const Row& b, const std::vector<int>& cols) {
   for (int c : cols) {
@@ -37,116 +37,6 @@ int CompareKeys(const Row& a, const Row& b, const std::vector<int>& cols) {
     if (r != 0) return r;
   }
   return 0;
-}
-
-/// Sort-based aggregation: stable-sort row indexes by group key (so each
-/// run of equal keys is in input order), fold each run, then order the
-/// groups by their first row. NULL keys compare equal to each other, as do
-/// 0.0 and -0.0; every function but COUNT(*) skips NULL inputs.
-std::vector<Row> ReferenceAggregate(const std::vector<Row>& rows,
-                                    const std::vector<int>& group_cols,
-                                    const std::vector<AggSpec>& aggs) {
-  std::vector<size_t> idx(rows.size());
-  std::iota(idx.begin(), idx.end(), size_t{0});
-  std::stable_sort(idx.begin(), idx.end(), [&](size_t a, size_t b) {
-    return CompareKeys(rows[a], rows[b], group_cols) < 0;
-  });
-  std::vector<std::pair<size_t, Row>> groups;  // (first row, output)
-  for (size_t lo = 0; lo < idx.size();) {
-    size_t hi = lo + 1;
-    while (hi < idx.size() &&
-           CompareKeys(rows[idx[lo]], rows[idx[hi]], group_cols) == 0)
-      ++hi;
-    Row out;
-    for (int c : group_cols)
-      out.Append(rows[idx[lo]].Get(static_cast<size_t>(c)));
-    for (const AggSpec& a : aggs) {
-      int64_t count = 0;
-      double sum = 0;
-      Value best;
-      for (size_t k = lo; k < hi; ++k) {
-        if (a.column < 0) {
-          ++count;
-          continue;
-        }
-        const Value& v = rows[idx[k]].Get(static_cast<size_t>(a.column));
-        if (v.is_null()) continue;
-        if (count == 0 ||
-            (a.fn == AggSpec::Fn::kMin ? v < best : best < v))
-          best = v;
-        ++count;
-        if (!v.is_string()) sum += v.AsDouble();
-      }
-      switch (a.fn) {
-        case AggSpec::Fn::kCount: out.Append(Value(count)); break;
-        case AggSpec::Fn::kSum:
-          out.Append(count > 0 ? Value(sum) : Value::Null());
-          break;
-        case AggSpec::Fn::kAvg:
-          out.Append(count > 0 ? Value(sum / static_cast<double>(count))
-                               : Value::Null());
-          break;
-        case AggSpec::Fn::kMin:
-        case AggSpec::Fn::kMax:
-          out.Append(best);
-          break;
-      }
-    }
-    groups.emplace_back(idx[lo], std::move(out));
-    lo = hi;
-  }
-  if (groups.empty() && group_cols.empty()) {
-    Row out;
-    for (const AggSpec& a : aggs)
-      out.Append(a.fn == AggSpec::Fn::kCount ? Value(int64_t{0})
-                                             : Value::Null());
-    return {out};
-  }
-  std::sort(groups.begin(), groups.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  std::vector<Row> result;
-  for (auto& g : groups) result.push_back(std::move(g.second));
-  return result;
-}
-
-// ---- Comparison ------------------------------------------------------------
-
-/// Same type and same bits (so 0.0 and -0.0 differ, unlike Value ==).
-bool Identical(const Value& a, const Value& b) {
-  if (a.is_null() || b.is_null()) return a.is_null() && b.is_null();
-  if (a.type() != b.type()) return false;
-  switch (a.type()) {
-    case Type::kInt64: return a.AsInt64() == b.AsInt64();
-    case Type::kDouble: {
-      const double x = a.AsDouble(), y = b.AsDouble();
-      return std::memcmp(&x, &y, sizeof(x)) == 0;
-    }
-    case Type::kString: return a.AsString() == b.AsString();
-  }
-  return false;
-}
-
-bool Close(const Value& a, const Value& b) {
-  if (!a.is_double() || !b.is_double()) return Identical(a, b);
-  const double x = a.AsDouble(), y = b.AsDouble();
-  return std::fabs(x - y) <=
-         1e-9 * std::max({1.0, std::fabs(x), std::fabs(y)});
-}
-
-/// Every cell Identical (exact) or Close (parallel), row for row.
-void ExpectSame(const std::vector<Row>& got, const std::vector<Row>& want,
-                bool exact, const std::string& what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  for (size_t r = 0; r < got.size(); ++r) {
-    ASSERT_EQ(got[r].size(), want[r].size()) << what << " row " << r;
-    for (size_t c = 0; c < got[r].size(); ++c) {
-      const Value& g = got[r].Get(c);
-      const Value& w = want[r].Get(c);
-      ASSERT_TRUE(exact ? Identical(g, w) : Close(g, w))
-          << what << " row " << r << " col " << c << ": got "
-          << got[r].ToString() << " want " << want[r].ToString();
-    }
-  }
 }
 
 // ---- Inputs ----------------------------------------------------------------
@@ -261,10 +151,7 @@ class AggregatePropertyTest : public ::testing::Test {
     }
   }
 
-  /// Checks every input form and execution mode against the reference.
-  /// Rows transpose into 4096-row batches, so at that batch size row and
-  /// batch input split alike across workers and must match bit for bit
-  /// in parallel too.
+  /// Checks every batch size and execution mode against the reference.
   void Check(const std::vector<Row>& rows, const Shape& shape,
              const std::string& what,
              const std::vector<size_t>& batch_sizes = {0, 7, 4096}) {
@@ -273,30 +160,22 @@ class AggregatePropertyTest : public ::testing::Test {
     std::iota(groups.begin(), groups.end(), 0);
     const std::vector<AggSpec> aggs = AllAggs(nk);
     const std::vector<Row> want = ReferenceAggregate(rows, groups, aggs);
-
-    ExpectSame(HashAggregate(rows, groups, aggs), want, true, what + " rows");
-    std::vector<std::vector<Row>> row_parallel;
-    for (const ExecContext& exec : execs_) {
-      AggStats stats;
-      row_parallel.push_back(HashAggregate(rows, groups, aggs, exec, &stats));
-      ExpectSame(row_parallel.back(), want, false, what + " rows parallel");
-      EXPECT_EQ(stats.rows_in, rows.size());
-    }
     const Schema schema = LayoutSchema(shape);
     for (size_t batch_rows : batch_sizes) {
       const std::vector<ColumnBatch> batches =
           RowsToBatches(rows, schema, {}, batch_rows);
       const std::string b = what + " batch_rows=" + std::to_string(batch_rows);
       AggStats stats;
-      ExpectSame(HashAggregate(batches, groups, aggs, ExecContext{}, &stats),
-                 want, true, b);
+      ExpectRowsMatch(
+          HashAggregate(batches, groups, aggs, ExecContext{}, &stats), want,
+          true, b);
       EXPECT_EQ(stats.rows_in, rows.size());
       EXPECT_EQ(stats.workers, 1u);
-      for (size_t e = 0; e < execs_.size(); ++e) {
-        const auto got = HashAggregate(batches, groups, aggs, execs_[e]);
-        ExpectSame(got, want, false, b + " parallel");
-        if (batch_rows == 4096)
-          ExpectSame(got, row_parallel[e], true, b + " parallel vs rows");
+      for (const ExecContext& exec : execs_) {
+        AggStats pstats;
+        ExpectRowsMatch(HashAggregate(batches, groups, aggs, exec, &pstats),
+                        want, false, b + " parallel");
+        EXPECT_EQ(pstats.rows_in, rows.size());
       }
     }
   }
@@ -354,65 +233,21 @@ TEST_F(AggregatePropertyTest, SelectionVectorsAggregateOnlyActiveRows) {
     for (ColumnBatch& b : batches)
       FilterBatch(&b, 2, CmpOp::kGe, Value(int64_t{0}));
     const std::string what = "batch_rows=" + std::to_string(batch_rows);
-    ExpectSame(HashAggregate(batches, groups, aggs, ExecContext{}), want, true,
-               what);
+    ExpectRowsMatch(HashAggregate(batches, groups, aggs, ExecContext{}),
+                    want, true, what);
     for (const ExecContext& exec : execs_)
-      ExpectSame(HashAggregate(batches, groups, aggs, exec), want, false,
-                 what + " parallel");
+      ExpectRowsMatch(HashAggregate(batches, groups, aggs, exec), want, false,
+                      what + " parallel");
   }
-}
-
-TEST(AggregateTest, RowInputWidensMixedNumericColumns) {
-  // Column 0 mixes int64 and double: it widens to double, so 3 and 3.0
-  // share a group (keyed by the first-seen value, as a double).
-  const std::vector<Row> rows = {Row{Value(int64_t{3}), Value(int64_t{5})},
-                                 Row{Value(3.0), Value(2.5)},
-                                 Row{Value::Null(), Value(int64_t{1})}};
-  const auto out = HashAggregate(
-      rows, {0}, {AggSpec::Count("n"), AggSpec::Min(1, "mn"),
-                  AggSpec::Sum(1, "s")});
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_TRUE(Identical(out[0].Get(0), Value(3.0)));
-  EXPECT_EQ(out[0].Get(1).AsInt64(), 2);
-  EXPECT_TRUE(Identical(out[0].Get(2), Value(2.5)));
-  EXPECT_TRUE(Identical(out[0].Get(3), Value(7.5)));
-  EXPECT_TRUE(out[1].Get(0).is_null());
-  EXPECT_TRUE(Identical(out[1].Get(2), Value(1.0)));
-}
-
-TEST_F(AggregatePropertyTest, ParallelRowTranspositionAgreesOnTypes) {
-  // Workers transpose row ranges on their own: here the first ranges see
-  // column 0 as int64 and column 1 as all NULL, the last ones see doubles
-  // and strings. Every worker count must agree with the serial result.
-  std::vector<Row> rows;
-  for (int64_t i = 0; i < 20000; ++i) {
-    const bool late = i >= 15000;
-    rows.push_back(Row{late ? Value(static_cast<double>(i % 5)) : Value(i % 5),
-                       late ? Value("s" + std::to_string(i % 7))
-                            : Value::Null()});
-  }
-  const std::vector<AggSpec> aggs = {AggSpec::Count("n"),
-                                     AggSpec::Min(1, "mn"),
-                                     AggSpec::Max(1, "mx")};
-  const auto want = ReferenceAggregate(rows, {0}, aggs);
-  const auto serial = HashAggregate(rows, {0}, aggs);
-  ASSERT_EQ(serial.size(), 5u);
-  EXPECT_TRUE(Identical(serial[0].Get(0), Value(0.0)));  // widened key
-  EXPECT_EQ(serial[0].Get(2).AsString(), "s0");
-  for (const ExecContext& exec : execs_)
-    ExpectSame(HashAggregate(rows, {0}, aggs, exec), serial, true,
-               "parallel transposition");
-  // The reference keeps each key's int64 spelling; values agree.
-  for (size_t g = 0; g < want.size(); ++g)
-    EXPECT_EQ(serial[g], want[g]) << g;
 }
 
 TEST(AggregateTest, NullInputsAreSkippedButCountStarCountsRows) {
   const std::vector<Row> rows = {Row{Value("a"), Value(int64_t{4})},
                                  Row{Value("a"), Value::Null()},
                                  Row{Value("b"), Value::Null()}};
-  const auto out = HashAggregate(
-      rows, {0},
+  const Schema schema({{"g", Type::kString}, {"x", Type::kInt64}});
+  const auto out = AggregateRows(
+      rows, schema, {0},
       {AggSpec::Count("n"), AggSpec{AggSpec::Fn::kCount, 1, "c"},
        AggSpec::Avg(1, "avg"), AggSpec::Max(1, "mx")});
   ASSERT_EQ(out.size(), 2u);
@@ -423,7 +258,7 @@ TEST(AggregateTest, NullInputsAreSkippedButCountStarCountsRows) {
   EXPECT_TRUE(out[1].Get(3).is_null());
   EXPECT_TRUE(out[1].Get(4).is_null());
   // COUNT(*) alone reads no column at all.
-  const auto n = HashAggregate(rows, {}, {AggSpec::Count("n")});
+  const auto n = AggregateRows(rows, schema, {}, {AggSpec::Count("n")});
   ASSERT_EQ(n.size(), 1u);
   EXPECT_EQ(n[0].Get(0).AsInt64(), 3);
 }

@@ -1,11 +1,13 @@
 // CH-benCHmark workload tests: loading invariants, transaction semantics
 // (NewOrder consistency), all 12 queries execute, and TP/AP consistency
-// (row-path answers == column-path answers after sync).
+// (row-path and column-path answers equal each other and the reference
+// executor's after sync).
 
 #include <gtest/gtest.h>
 
 #include "benchlib/chbench.h"
 #include "benchlib/driver.h"
+#include "reference_executor.h"
 
 namespace htap {
 namespace bench {
@@ -118,6 +120,15 @@ TEST_F(ChBenchTest, AllQueriesExecuteAndAgreeAcrossPaths) {
       return out;
     };
     EXPECT_EQ(canon(row_res->rows), canon(col_res->rows)) << q.name;
+    // Both paths, uncut (a LIMIT may keep either of two tied rows), against
+    // the reference executor.
+    for (QueryPlan plan : {row_plan, col_plan}) {
+      plan.limit = 0;
+      ExpectMatchesReference(db_.get(), plan, /*ordered=*/false,
+                             q.name + (plan.path == PathHint::kForceRow
+                                           ? " row path"
+                                           : " column path"));
+    }
   }
 }
 

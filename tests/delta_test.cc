@@ -15,6 +15,7 @@
 #include "delta/delta.h"
 #include "exec/batch.h"
 #include "exec/executor.h"
+#include "reference_executor.h"
 
 namespace htap {
 namespace {
@@ -190,8 +191,8 @@ INSTANTIATE_TEST_SUITE_P(AllDeltaDesigns, DeltaContractTest,
 Row R(Key k, int64_t v) { return Row{Value(k), Value(v)}; }
 
 // Main: keys 0..9 with v = 10k, in two row groups. Every case scans the
-// union with ScanHtap and checks ScanHtapBatches against it at batch_rows
-// 0, 7 and 4096, serial and parallel.
+// union serially in one batch per group and checks ScanHtapBatches against
+// it at batch_rows 0, 7 and 4096, serial and parallel.
 TEST_P(DeltaContractTest, MisfitRowImageIsRejectedAndNothingStaged) {
   DeltaEntry wrong_type = E(ChangeOp::kInsert, 2, 0, 1);
   wrong_type.row.Set(1, Value(2.5));  // DOUBLE in an INT64 column
@@ -226,7 +227,10 @@ class DeltaOverlayTest : public DeltaContractTest {
 
   std::vector<Row> Scan(CSN snap, const Predicate& pred = Predicate::True()) {
     ScanStats row_st;
-    const auto rows = ScanHtap(table_, reader(), snap, pred, {}, &row_st);
+    ExecContext base;
+    base.batch_rows = 0;
+    const auto rows =
+        ScanHtapRows(table_, reader(), snap, pred, {}, base, &row_st);
     for (size_t batch_rows : {size_t{0}, size_t{7}, size_t{4096}}) {
       for (bool parallel : {false, true}) {
         SCOPED_TRACE("batch_rows=" + std::to_string(batch_rows) +
@@ -414,17 +418,26 @@ TEST(LogDeltaTest, KeyIndexFindsLatestEntry) {
   EXPECT_FALSE(d.LookupLatest(7, &out));
 }
 
-TEST(LogDeltaTest, DrainDropsWholeFilesOnly) {
+TEST(LogDeltaTest, DrainSplitsTheStraddlingFile) {
   LogDeltaStore d(TestSchema());
   d.AppendFile({E(ChangeOp::kInsert, 1, 1, 1), E(ChangeOp::kInsert, 2, 2, 2)});
-  d.AppendFile({E(ChangeOp::kInsert, 3, 3, 3), E(ChangeOp::kInsert, 4, 4, 4)});
-  // CSN 3 falls inside file 2: only file 1 (max csn 2) is drained.
+  d.AppendFile({E(ChangeOp::kInsert, 3, 3, 3), E(ChangeOp::kInsert, 4, 4, 4),
+                E(ChangeOp::kInsert, 5, 5, 5)});
+  // CSN 3 falls inside file 2: file 1 and file 2's first entry drain.
   const auto drained = d.DrainUpTo(3);
-  EXPECT_EQ(Entries(drained), 2u);
+  EXPECT_EQ(Entries(drained), 3u);
   EXPECT_EQ(d.num_files(), 1u);
+  EXPECT_EQ(d.EntryCount(), 2u);
   DeltaEntry out;
-  EXPECT_TRUE(d.LookupLatest(3, &out));  // still resolvable after seq shift
+  ASSERT_TRUE(d.LookupLatest(5, &out));  // resolvable after the split
+  EXPECT_EQ(out.csn, 5u);
+  EXPECT_TRUE(d.LookupLatest(4, &out));
+  EXPECT_FALSE(d.LookupLatest(3, &out));  // drained from the split file
   EXPECT_FALSE(d.LookupLatest(1, &out));  // merged-away index entry is stale
+  EXPECT_EQ(Entries(d.DrainUpTo(4)), 1u);  // splits again
+  EXPECT_TRUE(d.LookupLatest(5, &out));
+  EXPECT_EQ(Entries(d.DrainUpTo(9)), 1u);
+  EXPECT_EQ(d.num_files(), 0u);
 }
 
 TEST(InMemoryDeltaTest, MemoryAccountingShrinksOnDrain) {

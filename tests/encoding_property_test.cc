@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include <string>
 #include <vector>
 
@@ -111,6 +113,24 @@ TEST(EncodingPropertyTest, EncodeDecodeIdentityEverywhere) {
         }
       }
     }
+  }
+}
+
+// ±0.0 compare equal as doubles but are different values: an RLE run may
+// only absorb bit-identical neighbours, or a -0.0 reads back as 0.0.
+TEST(EncodingPropertyTest, RleKeepsTheSignOfZero) {
+  const double vals[] = {0.0, -0.0, -0.0, 0.0};
+  ColumnVector v(Type::kDouble);
+  for (double x : vals) v.AppendDouble(x);
+  const EncodedColumn enc = Encode(v, EncodingType::kRle);
+  const ColumnVector out = Decode(enc);
+  ASSERT_EQ(out.size(), 4u);
+  for (size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(std::signbit(out.GetDouble(i)), std::signbit(vals[i]))
+        << "slot " << i;
+    EXPECT_EQ(std::signbit(EncodedGet(enc, i).AsDouble()),
+              std::signbit(vals[i]))
+        << "slot " << i;
   }
 }
 

@@ -1,9 +1,11 @@
 // Execution-layer tests: predicate evaluation and zone-map skipping,
-// row/HTAP scans, hash join, hash aggregation, sort/limit, projection.
+// row-store and HTAP scans, hash join, hash aggregation, sort/limit, and
+// scan projection.
 
 #include <gtest/gtest.h>
 
 #include "exec/executor.h"
+#include "reference_executor.h"
 #include "txn/txn_manager.h"
 
 namespace htap {
@@ -88,17 +90,27 @@ class ScanTest : public ::testing::Test {
 };
 
 TEST_F(ScanTest, RowScanWithPredicateAndProjection) {
-  const auto out = ScanRowStore(store_, mgr_.CurrentSnapshot(),
-                                Predicate::Eq(1, Value(int64_t{3})), {0, 3});
+  ExecContext exec;
+  exec.batch_rows = 4;
+  const auto batches =
+      ScanRowStore(store_, mgr_.CurrentSnapshot(),
+                   Predicate::Eq(1, Value(int64_t{3})), {0, 3}, exec);
+  const auto out = BatchesToRows(batches);
   EXPECT_EQ(out.size(), 10u);
   EXPECT_EQ(out[0].size(), 2u);
+  EXPECT_EQ(batches.size(), 3u);  // 4 + 4 + 2 rows
+  for (const ColumnBatch& b : batches) {
+    EXPECT_EQ(b.columns[0].type(), Type::kInt64);
+    EXPECT_EQ(b.columns[1].type(), Type::kDouble);
+  }
 }
 
 TEST_F(ScanTest, ColumnScanMatchesRowScan) {
   const auto pred = Predicate::And({Predicate::Ge(0, Value(int64_t{20})),
                                     Predicate::Eq(2, Value("even"))});
-  auto row_out = ScanRowStore(store_, mgr_.CurrentSnapshot(), pred, {});
-  auto col_out = ScanHtap(table_, nullptr, kMaxCSN - 1, pred, {});
+  auto row_out = BatchesToRows(
+      ScanRowStore(store_, mgr_.CurrentSnapshot(), pred, {}, ExecContext{}));
+  auto col_out = ScanHtapRows(table_, nullptr, kMaxCSN - 1, pred, {});
   auto key_of = [](const Row& r) { return r.Get(0).AsInt64(); };
   std::sort(row_out.begin(), row_out.end(),
             [&](const Row& a, const Row& b) { return key_of(a) < key_of(b); });
@@ -110,8 +122,10 @@ TEST_F(ScanTest, ColumnScanMatchesRowScan) {
 TEST_F(ScanTest, ZoneMapSkipsGroups) {
   ScanStats stats;
   // Keys 0..49 in group 0, 50..99 in group 1: id >= 80 skips group 0.
-  const auto out = ScanHtap(table_, nullptr, kMaxCSN - 1,
-                            Predicate::Ge(0, Value(int64_t{80})), {}, &stats);
+  const auto out =
+      ScanHtapRows(table_, nullptr, kMaxCSN - 1,
+                   Predicate::Ge(0, Value(int64_t{80})), {}, ExecContext{},
+                   &stats);
   EXPECT_EQ(out.size(), 20u);
   EXPECT_EQ(stats.groups_total, 2u);
   EXPECT_EQ(stats.groups_skipped, 1u);
@@ -138,8 +152,8 @@ TEST_F(ScanTest, DeltaUnionOverridesMain) {
   delta.Append(ins);
 
   ScanStats stats;
-  const auto out = ScanHtap(table_, &delta, kMaxCSN - 1, Predicate::True(),
-                            {}, &stats);
+  const auto out = ScanHtapRows(table_, &delta, kMaxCSN - 1,
+                                Predicate::True(), {}, ExecContext{}, &stats);
   EXPECT_EQ(out.size(), 100u);  // 100 - 1 delete + 1 insert
   EXPECT_EQ(stats.delta_rows_emitted, 2u);
   bool saw_patched = false, saw_11 = false;
@@ -162,11 +176,11 @@ TEST_F(ScanTest, DeltaSnapshotCutoff) {
   del.csn = 100;
   delta.Append(del);
   // Snapshot below the delete's CSN: row 5 still visible.
-  const auto out = ScanHtap(table_, &delta, 99,
-                            Predicate::Eq(0, Value(int64_t{5})), {});
+  const auto out = ScanHtapRows(table_, &delta, 99,
+                                Predicate::Eq(0, Value(int64_t{5})), {});
   EXPECT_EQ(out.size(), 1u);
-  const auto out2 = ScanHtap(table_, &delta, 100,
-                             Predicate::Eq(0, Value(int64_t{5})), {});
+  const auto out2 = ScanHtapRows(table_, &delta, 100,
+                                 Predicate::Eq(0, Value(int64_t{5})), {});
   EXPECT_EQ(out2.size(), 0u);
 }
 
@@ -176,8 +190,11 @@ TEST(HashJoinTest, InnerEquiJoin) {
                            Row{Value(int64_t{2}), Value("b2")}};
   std::vector<Row> right = {Row{Value(int64_t{2}), Value(10.0)},
                             Row{Value(int64_t{3}), Value(30.0)}};
-  const auto out = HashJoin(left, right, 0, 0);
+  const Schema ls({{"k", Type::kInt64}, {"s", Type::kString}});
+  const Schema rs({{"k", Type::kInt64}, {"d", Type::kDouble}});
+  const auto out = HashJoinRows(left, ls, right, rs, 0, 0);
   ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out, ReferenceJoin(left, right, 0, 0));
   for (const Row& r : out) {
     EXPECT_EQ(r.size(), 4u);
     EXPECT_EQ(r.Get(0).AsInt64(), 2);
@@ -188,17 +205,19 @@ TEST(HashJoinTest, InnerEquiJoin) {
 TEST(HashJoinTest, NullKeysNeverMatch) {
   std::vector<Row> left = {Row{Value::Null(), Value("a")}};
   std::vector<Row> right = {Row{Value::Null(), Value(1.0)}};
-  EXPECT_TRUE(HashJoin(left, right, 0, 0).empty());
+  const Schema ls({{"k", Type::kInt64}, {"s", Type::kString}});
+  const Schema rs({{"k", Type::kInt64}, {"d", Type::kDouble}});
+  EXPECT_TRUE(HashJoinRows(left, ls, right, rs, 0, 0).empty());
 }
 
 TEST(HashAggregateTest, GlobalAggregates) {
   std::vector<Row> rows;
   for (int i = 1; i <= 10; ++i)
     rows.push_back(Row{Value(static_cast<int64_t>(i))});
-  const auto out = HashAggregate(
-      rows, {}, {AggSpec::Count("n"), AggSpec::Sum(0, "s"),
-                 AggSpec::Min(0, "mn"), AggSpec::Max(0, "mx"),
-                 AggSpec::Avg(0, "avg")});
+  const auto out = AggregateRows(
+      rows, Schema({{"x", Type::kInt64}}), {},
+      {AggSpec::Count("n"), AggSpec::Sum(0, "s"), AggSpec::Min(0, "mn"),
+       AggSpec::Max(0, "mx"), AggSpec::Avg(0, "avg")});
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0].Get(0).AsInt64(), 10);
   EXPECT_DOUBLE_EQ(out[0].Get(1).AsDouble(), 55.0);
@@ -211,7 +230,8 @@ TEST(HashAggregateTest, GroupByWithNullsAndEmptyInput) {
   std::vector<Row> rows = {Row{Value("a"), Value(int64_t{1})},
                            Row{Value("a"), Value::Null()},
                            Row{Value("b"), Value(int64_t{5})}};
-  auto out = HashAggregate(rows, {0},
+  const Schema schema({{"g", Type::kString}, {"x", Type::kInt64}});
+  auto out = AggregateRows(rows, schema, {0},
                            {AggSpec::Count("n"), AggSpec::Sum(1, "s")});
   ASSERT_EQ(out.size(), 2u);
   SortLimit(&out, 0, false, 0);
@@ -219,12 +239,13 @@ TEST(HashAggregateTest, GroupByWithNullsAndEmptyInput) {
   EXPECT_EQ(out[0].Get(1).AsInt64(), 2);       // COUNT counts null rows too
   EXPECT_DOUBLE_EQ(out[0].Get(2).AsDouble(), 1.0);  // SUM skips nulls
 
-  const auto empty = HashAggregate({}, {}, {AggSpec::Count("n"),
-                                            AggSpec::Sum(0, "s")});
+  const std::vector<ColumnBatch> none;
+  const auto empty =
+      HashAggregate(none, {}, {AggSpec::Count("n"), AggSpec::Sum(0, "s")});
   ASSERT_EQ(empty.size(), 1u);
   EXPECT_EQ(empty[0].Get(0).AsInt64(), 0);
   EXPECT_TRUE(empty[0].Get(1).is_null());
-  EXPECT_TRUE(HashAggregate({}, {0}, {AggSpec::Count("n")}).empty());
+  EXPECT_TRUE(HashAggregate(none, {0}, {AggSpec::Count("n")}).empty());
 }
 
 TEST(SortLimitTest, OrdersAndTruncates) {
@@ -237,12 +258,17 @@ TEST(SortLimitTest, OrdersAndTruncates) {
   EXPECT_EQ(rows[2].Get(0).AsInt64(), 7);
 }
 
-TEST(ProjectTest, ReordersColumns) {
-  std::vector<Row> rows = {Row{Value(int64_t{1}), Value("x"), Value(2.0)}};
-  const auto out = Project(rows, {2, 0});
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_DOUBLE_EQ(out[0].Get(0).AsDouble(), 2.0);
-  EXPECT_EQ(out[0].Get(1).AsInt64(), 1);
+// Projection happens in the scans: both emit the listed columns in list
+// order.
+TEST_F(ScanTest, ProjectionReordersColumns) {
+  const Predicate one = Predicate::Eq(0, Value(int64_t{4}));
+  const auto row = BatchesToRows(ScanRowStore(
+      store_, mgr_.CurrentSnapshot(), one, {3, 0}, ExecContext{}));
+  const auto col = ScanHtapRows(table_, nullptr, kMaxCSN - 1, one, {3, 0});
+  ASSERT_EQ(row.size(), 1u);
+  EXPECT_DOUBLE_EQ(row[0].Get(0).AsDouble(), 6.0);
+  EXPECT_EQ(row[0].Get(1).AsInt64(), 4);
+  EXPECT_EQ(row, col);
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // Grace (out-of-core) hash join tests (DESIGN.md §9): with a spill budget
 // below the build-side footprint the join must write partition runs to
 // disk, join them partition-at-a-time — recursing on skewed partitions —
-// and still produce output byte-identical to the nested-loop reference at
-// every thread count. Also covers the planner layer riding on the pair
-// API: build-side selection (swap fixup) and greedy join-order selection
-// (hidden-index fixup), plus spill-file cleanup. Runs under
-// ThreadSanitizer via ./ci.sh.
+// and still produce output byte-identical to the nested-loop reference
+// (tests/reference_executor.h) at every thread count. Also covers the
+// planner layer riding on the pair API: build-side selection (swap fixup)
+// and greedy join-order selection (lineage-sort fixup), plus spill-file
+// cleanup. Runs under ThreadSanitizer via ./ci.sh.
 
 #include <gtest/gtest.h>
 
@@ -15,55 +15,60 @@
 #include "core/database.h"
 #include "exec/executor.h"
 #include "opt/join_planner.h"
+#include "reference_executor.h"
 #include "storage/spill_file.h"
 
 namespace htap {
 namespace {
 
-/// Ground truth with the join's documented output order: left rows in input
-/// order, and for each left row its matches in right (build) input order.
-std::vector<Row> NestedLoopJoin(const std::vector<Row>& left,
-                                const std::vector<Row>& right, int left_col,
-                                int right_col) {
-  std::vector<Row> out;
-  for (const Row& l : left) {
-    const Value& k = l.Get(static_cast<size_t>(left_col));
-    if (k.is_null()) continue;
-    for (const Row& r : right) {
-      const Value& rk = r.Get(static_cast<size_t>(right_col));
-      if (rk.is_null() || rk != k) continue;
-      Row joined = l;
-      for (const Value& v : r.values()) joined.Append(v);
-      out.push_back(std::move(joined));
-    }
-  }
-  return out;
+Schema SpillFactSchema() {
+  return Schema({{"id", Type::kInt64}, {"fk", Type::kInt64},
+                 {"amount", Type::kDouble}});
+}
+
+Schema SpillDimSchema(Type key_type) {
+  return Schema({{"key", key_type}, {"pad", Type::kString},
+                 {"weight", Type::kDouble}});
 }
 
 struct Dataset {
   std::vector<Row> left;
   std::vector<Row> right;
+  Schema left_schema = SpillFactSchema();
+  Schema right_schema = SpillDimSchema(Type::kInt64);
+
+  /// The build side's footprint, as the grace budget measures it.
+  size_t BuildBytes() const { return RowsBytes(right, right_schema); }
 };
 
-/// Duplicate keys, NULLs, cross-type numeric keys, and a fat string payload
-/// on the build side so the footprint dwarfs a kilobyte-scale budget.
-Dataset SpillDataset(int64_t build_rows = 2000, int64_t key_mod = 97) {
+/// Duplicate keys, NULLs, and a fat string payload on the build side so
+/// the footprint dwarfs a kilobyte-scale budget. With `double_keys` the
+/// build keys are doubles, so every key compare is cross-type.
+Dataset SpillDataset(int64_t build_rows = 2000, int64_t key_mod = 97,
+                     bool double_keys = false) {
   Dataset d;
+  if (double_keys) d.right_schema = SpillDimSchema(Type::kDouble);
   for (int64_t i = 0; i < 3000; ++i) {
     Row r{Value(i), Value(i % key_mod), Value(i * 0.25)};
     if (i % 31 == 0) r.Set(1, Value::Null());
-    if (i % 13 == 0)
-      r.Set(1, Value(static_cast<double>(i % key_mod)));  // cross-type
     d.left.push_back(std::move(r));
   }
   const std::string pad(96, 'x');
   for (int64_t i = 0; i < build_rows; ++i) {
-    Row r{Value(i % key_mod), Value(pad + std::to_string(i)),
-          Value(i * 1.5)};
+    const int64_t k = i % key_mod;
+    Row r{double_keys ? Value(static_cast<double>(k)) : Value(k),
+          Value(pad + std::to_string(i)), Value(i * 1.5)};
     if (i % 41 == 0) r.Set(0, Value::Null());
     d.right.push_back(std::move(r));
   }
   return d;
+}
+
+/// The kernel under test: fact.fk = dim.key through the batch join.
+std::vector<Row> Join(const Dataset& d, const ExecContext& exec = {},
+                      JoinStats* stats = nullptr) {
+  return HashJoinRows(d.left, d.left_schema, d.right, d.right_schema, 1, 0,
+                      exec, stats);
 }
 
 class GraceJoinTest : public ::testing::Test {
@@ -100,35 +105,35 @@ class GraceJoinTest : public ::testing::Test {
 };
 
 TEST_F(GraceJoinTest, ForcedSpillMatchesNestedLoopAcrossThreadCounts) {
-  const Dataset d = SpillDataset();
-  const auto reference = NestedLoopJoin(d.left, d.right, 1, 0);
-  ASSERT_FALSE(reference.empty());
-  const size_t build_bytes = EstimateRowsBytes(d.right);
-  const size_t budget = build_bytes / 16;
-  ASSERT_GT(budget, 0u);
+  for (bool double_keys : {false, true}) {
+    const Dataset d = SpillDataset(2000, 97, double_keys);
+    const auto reference = ReferenceJoin(d.left, d.right, 1, 0);
+    ASSERT_FALSE(reference.empty());
+    const size_t budget = d.BuildBytes() / 16;
+    ASSERT_GT(budget, 0u);
 
-  for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
-    JoinStats stats;
-    const auto out =
-        HashJoin(d.left, d.right, 1, 0, Spill(budget, threads), &stats);
-    EXPECT_EQ(reference, out) << threads << " threads";
-    EXPECT_EQ(stats.parallel, threads > 1);
-    EXPECT_GT(stats.partitions, 1u);
-    EXPECT_GT(stats.partitions_spilled, 0u) << threads << " threads";
-    EXPECT_GT(stats.spill_rows_written, 0u);
-    EXPECT_GT(stats.spill_bytes_written, 0u);
-    EXPECT_GT(stats.spill_bytes_read, 0u);
-    EXPECT_EQ(stats.output_rows, reference.size());
+    for (size_t threads : {size_t{1}, size_t{2}, size_t{4}, size_t{8}}) {
+      JoinStats stats;
+      const auto out = Join(d, Spill(budget, threads), &stats);
+      EXPECT_EQ(reference, out)
+          << threads << " threads, double keys " << double_keys;
+      EXPECT_EQ(stats.parallel, threads > 1);
+      EXPECT_GT(stats.partitions, 1u);
+      EXPECT_GT(stats.partitions_spilled, 0u) << threads << " threads";
+      EXPECT_GT(stats.spill_rows_written, 0u);
+      EXPECT_GT(stats.spill_bytes_written, 0u);
+      EXPECT_GT(stats.spill_bytes_read, 0u);
+      EXPECT_EQ(stats.output_rows, reference.size());
+    }
   }
   EXPECT_EQ(SpillFilesInDir(), 0u);  // every run discarded after its join
 }
 
 TEST_F(GraceJoinTest, BudgetAboveBuildSizeNeverSpills) {
   const Dataset d = SpillDataset();
-  const auto reference = HashJoin(d.left, d.right, 1, 0);
+  const auto reference = Join(d);
   JoinStats stats;
-  const auto out = HashJoin(d.left, d.right, 1, 0,
-                            Spill(EstimateRowsBytes(d.right) + 1, 4), &stats);
+  const auto out = Join(d, Spill(d.BuildBytes() + 1, 4), &stats);
   EXPECT_EQ(reference, out);
   EXPECT_EQ(stats.partitions_spilled, 0u);
   EXPECT_EQ(stats.spill_rows_written, 0u);
@@ -141,12 +146,11 @@ TEST_F(GraceJoinTest, MaskedHashesForceRecursiveRepartition) {
   // oversized partition must re-partition on higher bits to get under
   // budget.
   const Dataset d = SpillDataset();
-  const auto reference = NestedLoopJoin(d.left, d.right, 1, 0);
-  const size_t budget = EstimateRowsBytes(d.right) / 8;
+  const auto reference = ReferenceJoin(d.left, d.right, 1, 0);
+  const size_t budget = d.BuildBytes() / 8;
   for (size_t threads : {size_t{1}, size_t{4}}) {
     JoinStats stats;
-    const auto out = HashJoin(d.left, d.right, 1, 0,
-                              Spill(budget, threads, ~0xFFull), &stats);
+    const auto out = Join(d, Spill(budget, threads, ~0xFFull), &stats);
     EXPECT_EQ(reference, out) << threads << " threads";
     EXPECT_EQ(stats.partitions_spilled, 1u);
     EXPECT_GE(stats.spill_max_recursion, 1u) << threads << " threads";
@@ -164,12 +168,11 @@ TEST_F(GraceJoinTest, SingleHotKeyBottomsOutAtRecursionCap) {
     d.left.push_back(Row{Value(i), Value(int64_t{7}), Value(i * 0.5)});
   for (int64_t i = 0; i < 300; ++i)
     d.right.push_back(Row{Value(int64_t{7}), Value(pad), Value(i * 1.0)});
-  const auto reference = NestedLoopJoin(d.left, d.right, 1, 0);
+  const auto reference = ReferenceJoin(d.left, d.right, 1, 0);
   ASSERT_EQ(reference.size(), d.left.size() * d.right.size());
 
   JoinStats stats;
-  const auto out = HashJoin(d.left, d.right, 1, 0,
-                            Spill(EstimateRowsBytes(d.right) / 8, 4), &stats);
+  const auto out = Join(d, Spill(d.BuildBytes() / 8, 4), &stats);
   EXPECT_EQ(reference, out);
   EXPECT_GE(stats.spill_max_recursion, 2u);
   EXPECT_EQ(SpillFilesInDir(), 0u);
@@ -177,15 +180,14 @@ TEST_F(GraceJoinTest, SingleHotKeyBottomsOutAtRecursionCap) {
 
 TEST_F(GraceJoinTest, ConcurrentGraceJoinsShareTheSpillDir) {
   const Dataset d = SpillDataset(1200);
-  const auto reference = NestedLoopJoin(d.left, d.right, 1, 0);
-  const size_t budget = EstimateRowsBytes(d.right) / 8;
+  const auto reference = ReferenceJoin(d.left, d.right, 1, 0);
+  const size_t budget = d.BuildBytes() / 8;
   std::vector<std::thread> workers;
   for (int t = 0; t < 3; ++t) {
     workers.emplace_back([&] {
       for (int iter = 0; iter < 3; ++iter) {
         JoinStats stats;
-        const auto out =
-            HashJoin(d.left, d.right, 1, 0, Spill(budget, 4), &stats);
+        const auto out = Join(d, Spill(budget, 4), &stats);
         EXPECT_EQ(reference, out);
         EXPECT_GT(stats.partitions_spilled, 0u);
       }
@@ -225,14 +227,14 @@ TEST(JoinPlannerTest, TiesBreakTowardPlanOrder) {
   EXPECT_EQ(order, (std::vector<size_t>{0, 1, 2}));
 }
 
-TEST(JoinPlannerTest, CountDistinctKeysIgnoresNullsAndUnifiesNumerics) {
-  std::vector<Row> rows;
-  rows.push_back(Row{Value(int64_t{1})});
-  rows.push_back(Row{Value(1.0)});  // numerically equal to int64 1
-  rows.push_back(Row{Value(int64_t{2})});
-  rows.push_back(Row{Value::Null()});
-  rows.push_back(Row{Value("a")});
-  EXPECT_EQ(CountDistinctKeys(rows, 0), 3u);
+TEST(JoinPlannerTest, CountDistinctKeysIgnoresNullsAndUnifiesSignedZeros) {
+  const std::vector<Row> rows = {Row{Value(1.0)}, Row{Value(0.0)},
+                                 Row{Value(-0.0)},  // equal to 0.0
+                                 Row{Value(1.0)}, Row{Value::Null()},
+                                 Row{Value(2.5)}};
+  const auto batches =
+      RowsToBatches(rows, Schema({{"k", Type::kDouble}}), {}, 4);
+  EXPECT_EQ(CountDistinctKeys(ExtractJoinKeys(batches, 0)), 3u);
 }
 
 // --------------------------------------------------------------------------
@@ -316,7 +318,7 @@ TEST(GraceJoinDatabaseTest, BuildSideSwapKeepsNestedLoopOrder) {
 
   const auto fact = ScanAll(db.get(), "fact");
   const auto dim = ScanAll(db.get(), "dim_a");
-  const auto reference = NestedLoopJoin(fact, dim, 1, 1);
+  const auto reference = ReferenceJoin(fact, dim, 1, 1);
 
   QueryPlan plan;
   plan.table = "fact";
@@ -343,7 +345,7 @@ TEST(GraceJoinDatabaseTest, GreedyJoinOrderIsInvisibleInResults) {
   const auto dim_a = ScanAll(serial_db.get(), "dim_a");
   const auto dim_b = ScanAll(serial_db.get(), "dim_b");
   const auto reference =
-      NestedLoopJoin(NestedLoopJoin(fact, dim_a, 1, 1), dim_b, 2, 0);
+      ReferenceJoin(ReferenceJoin(fact, dim_a, 1, 1), dim_b, 2, 0);
   ASSERT_FALSE(reference.empty());
 
   QueryPlan plan;

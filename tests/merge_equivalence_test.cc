@@ -136,10 +136,6 @@ class RefMain {
       for (const Row& r : rows) vec.AppendValue(r.Get(c));
       ExpectSameSegmentStats(CollectSegmentStats(vec), RefSegmentStats(vec));
       g.encodings.push_back(AdviseEncoding(vec).chosen);
-      // Keep what the segment returns: an RLE run stores one of equal
-      // values, so -0.0 may come back as 0.0.
-      const Segment seg = Segment::BuildWithEncoding(vec, g.encodings.back());
-      for (size_t i = 0; i < rows.size(); ++i) g.rows[i].Set(c, seg.Get(i));
     }
     const size_t gidx = groups_.size();
     for (size_t i = 0; i < rows.size(); ++i) {

@@ -360,22 +360,13 @@ class PlanTimeJoinTest : public ::testing::Test {
 
   ScanFn CountingScan() {
     return [this](const ScanRequest& req, ScanStats*,
-                  std::string*) -> Result<std::vector<Row>> {
+                  std::string*) -> Result<std::vector<ColumnBatch>> {
       ++scan_calls_[req.table->name];
       scan_sequence_.push_back(req.table->name);
-      std::vector<Row> out;
-      for (const Row& r : data_[req.table->name]) {
-        if (!req.pred->Eval(r)) continue;
-        if (req.projection.empty()) {
-          out.push_back(r);
-          continue;
-        }
-        Row proj;
-        for (int c : req.projection)
-          proj.Append(r.Get(static_cast<size_t>(c)));
-        out.push_back(std::move(proj));
-      }
-      return out;
+      BatchBuilder out(req.table->schema, req.projection, 4096);
+      for (const Row& r : data_[req.table->name])
+        if (req.pred->Eval(r)) out.Add(r);
+      return out.Finish();
     };
   }
 

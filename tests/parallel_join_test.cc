@@ -1,8 +1,9 @@
 // Radix-partitioned parallel hash join tests: the parallel join must be
 // byte-identical to the serial join — which itself equals a nested-loop
-// reference — across thread counts and key pathologies (duplicate keys,
-// null keys, cross-type numeric keys, forced hash collisions, empty build
-// side), and must stay correct while writers churn the scanned tables.
+// reference (tests/reference_executor.h) — across thread counts and key
+// pathologies (duplicate keys, null keys, int64 keys joining double keys,
+// forced hash collisions, empty build side), and must stay correct while
+// writers churn the scanned tables.
 // Runs under ThreadSanitizer via ./ci.sh.
 
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 
 #include "core/database.h"
 #include "exec/executor.h"
+#include "reference_executor.h"
 
 namespace htap {
 namespace {
@@ -27,48 +29,44 @@ Schema DimSchema() {
                  {"weight", Type::kDouble}});
 }
 
-/// Ground truth with the join's documented output order: left rows in input
-/// order, and for each left row its matches in right (build) input order.
-std::vector<Row> NestedLoopJoin(const std::vector<Row>& left,
-                                const std::vector<Row>& right, int left_col,
-                                int right_col) {
-  std::vector<Row> out;
-  for (const Row& l : left) {
-    const Value& k = l.Get(static_cast<size_t>(left_col));
-    if (k.is_null()) continue;
-    for (const Row& r : right) {
-      const Value& rk = r.Get(static_cast<size_t>(right_col));
-      if (rk.is_null() || rk != k) continue;
-      Row joined = l;
-      for (const Value& v : r.values()) joined.Append(v);
-      out.push_back(std::move(joined));
-    }
-  }
-  return out;
+Schema DoubleKeyDimSchema() {
+  return Schema({{"id", Type::kDouble}, {"name", Type::kString},
+                 {"weight", Type::kDouble}});
 }
 
 struct Dataset {
   std::vector<Row> left;
   std::vector<Row> right;
+  Schema left_schema = FactSchema();
+  Schema right_schema = DimSchema();
 };
 
-/// Duplicate keys on both sides, nulls sprinkled on both sides, and
-/// cross-type numeric keys (int64 fact keys joining double dimension keys).
-Dataset PathologicalDataset() {
+/// Duplicate keys on both sides and NULLs sprinkled on both sides. With
+/// `double_keys` the dimension keys are doubles, so every key compare is
+/// cross-type (int64 fact keys against double dimension keys).
+Dataset PathologicalDataset(bool double_keys = false) {
   Dataset d;
+  if (double_keys) d.right_schema = DoubleKeyDimSchema();
   for (int64_t i = 0; i < 3000; ++i) {
     Row r{Value(i), Value(i % 97), Value(i * 0.25)};
     if (i % 31 == 0) r.Set(1, Value::Null());
-    if (i % 13 == 0) r.Set(1, Value(static_cast<double>(i % 97)));  // cross-type
     d.left.push_back(std::move(r));
   }
   for (int64_t i = 0; i < 2000; ++i) {
     // Keys 0..96 each appear ~20 times; every 41st key is NULL.
-    Row r{Value(i % 97), Value("dim_" + std::to_string(i)), Value(i * 1.5)};
+    Row r{double_keys ? Value(static_cast<double>(i % 97)) : Value(i % 97),
+          Value("dim_" + std::to_string(i)), Value(i * 1.5)};
     if (i % 41 == 0) r.Set(0, Value::Null());
     d.right.push_back(std::move(r));
   }
   return d;
+}
+
+/// The kernel under test: fact.fk = dim.id through the batch join.
+std::vector<Row> Join(const Dataset& d, const ExecContext& exec = {},
+                      JoinStats* stats = nullptr) {
+  return HashJoinRows(d.left, d.left_schema, d.right, d.right_schema, 1, 0,
+                      exec, stats);
 }
 
 class ParallelJoinTest : public ::testing::Test {
@@ -87,24 +85,25 @@ class ParallelJoinTest : public ::testing::Test {
 };
 
 TEST_F(ParallelJoinTest, MatchesNestedLoopReferenceAcrossThreadCounts) {
-  const Dataset d = PathologicalDataset();
-  const auto reference = NestedLoopJoin(d.left, d.right, 1, 0);
-  ASSERT_FALSE(reference.empty());
+  for (bool double_keys : {false, true}) {
+    const Dataset d = PathologicalDataset(double_keys);
+    const auto reference = ReferenceJoin(d.left, d.right, 1, 0);
+    ASSERT_FALSE(reference.empty());
+    EXPECT_EQ(reference, Join(d)) << "serial, double keys " << double_keys;
 
-  const auto serial = HashJoin(d.left, d.right, 1, 0);
-  EXPECT_EQ(reference, serial);
-
-  for (size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
-    JoinStats stats;
-    const auto par = HashJoin(d.left, d.right, 1, 0, Par(threads), &stats);
-    // Exact equality including row order: probe morsels concatenate in
-    // morsel order and per-key chains preserve build input order.
-    EXPECT_EQ(reference, par) << threads << " threads";
-    EXPECT_TRUE(stats.parallel);
-    EXPECT_GT(stats.partitions, 1u);
-    EXPECT_EQ(stats.build_rows, d.right.size());
-    EXPECT_EQ(stats.probe_rows, d.left.size());
-    EXPECT_EQ(stats.output_rows, reference.size());
+    for (size_t threads : {size_t{2}, size_t{4}, size_t{8}}) {
+      JoinStats stats;
+      const auto par = Join(d, Par(threads), &stats);
+      // Exact equality including row order: probe morsels concatenate in
+      // morsel order and per-key chains preserve build input order.
+      EXPECT_EQ(reference, par)
+          << threads << " threads, double keys " << double_keys;
+      EXPECT_TRUE(stats.parallel);
+      EXPECT_GT(stats.partitions, 1u);
+      EXPECT_EQ(stats.build_rows, d.right.size());
+      EXPECT_EQ(stats.probe_rows, d.left.size());
+      EXPECT_EQ(stats.output_rows, reference.size());
+    }
   }
 }
 
@@ -112,16 +111,17 @@ TEST_F(ParallelJoinTest, ForcedHashCollisionsStillConfirmKeys) {
   // A 4-bit hash mask funnels all keys into 16 hash values, so nearly every
   // probe hits hash matches with unequal keys — the collision-confirm
   // compare must reject them, serially and in parallel.
-  const Dataset d = PathologicalDataset();
-  const auto reference = NestedLoopJoin(d.left, d.right, 1, 0);
-  for (uint64_t mask : {uint64_t{0xF}, uint64_t{0x1}, uint64_t{0}}) {
-    ExecContext serial_masked;
-    serial_masked.join_hash_mask = mask;
-    EXPECT_EQ(reference, HashJoin(d.left, d.right, 1, 0, serial_masked))
-        << "serial, mask " << mask;
-    for (size_t threads : {size_t{2}, size_t{4}}) {
-      EXPECT_EQ(reference, HashJoin(d.left, d.right, 1, 0, Par(threads, mask)))
-          << threads << " threads, mask " << mask;
+  for (bool double_keys : {false, true}) {
+    const Dataset d = PathologicalDataset(double_keys);
+    const auto reference = ReferenceJoin(d.left, d.right, 1, 0);
+    for (uint64_t mask : {uint64_t{0xF}, uint64_t{0x1}, uint64_t{0}}) {
+      ExecContext serial_masked;
+      serial_masked.join_hash_mask = mask;
+      EXPECT_EQ(reference, Join(d, serial_masked)) << "serial, mask " << mask;
+      for (size_t threads : {size_t{2}, size_t{4}}) {
+        EXPECT_EQ(reference, Join(d, Par(threads, mask)))
+            << threads << " threads, mask " << mask;
+      }
     }
   }
 }
@@ -129,14 +129,19 @@ TEST_F(ParallelJoinTest, ForcedHashCollisionsStillConfirmKeys) {
 TEST_F(ParallelJoinTest, EmptySidesAndNoMatches) {
   const Dataset d = PathologicalDataset();
   // Empty build side.
-  EXPECT_TRUE(HashJoin(d.left, {}, 1, 0, Par(4)).empty());
+  Dataset no_build = d;
+  no_build.right.clear();
+  EXPECT_TRUE(Join(no_build, Par(4)).empty());
   // Empty probe side.
-  EXPECT_TRUE(HashJoin({}, d.right, 1, 0, Par(4)).empty());
+  Dataset no_probe = d;
+  no_probe.left.clear();
+  EXPECT_TRUE(Join(no_probe, Par(4)).empty());
   // Disjoint key domains.
-  std::vector<Row> far;
+  Dataset far = d;
+  far.right.clear();
   for (int64_t i = 0; i < 100; ++i)
-    far.push_back(Row{Value(i + 100000), Value("far"), Value(0.0)});
-  EXPECT_TRUE(HashJoin(d.left, far, 1, 0, Par(4)).empty());
+    far.right.push_back(Row{Value(i + 100000), Value("far"), Value(0.0)});
+  EXPECT_TRUE(Join(far, Par(4)).empty());
 }
 
 TEST_F(ParallelJoinTest, SmallBuildFallsBackToSerial) {
@@ -144,23 +149,23 @@ TEST_F(ParallelJoinTest, SmallBuildFallsBackToSerial) {
   ExecContext exec{&pool_, 4};  // default min_parallel_join_build = 4096
   ASSERT_LT(d.right.size(), exec.min_parallel_join_build);
   JoinStats stats;
-  const auto out = HashJoin(d.left, d.right, 1, 0, exec, &stats);
+  const auto out = Join(d, exec, &stats);
   EXPECT_FALSE(stats.parallel);
   EXPECT_EQ(stats.partitions, 1u);
-  EXPECT_EQ(out, HashJoin(d.left, d.right, 1, 0));
+  EXPECT_EQ(out, Join(d));
 }
 
 TEST_F(ParallelJoinTest, QuotaThrottledPoolStaysCorrect) {
   // The resource scheduler shrinks the AP pool's concurrency quota to
   // throttle OLAP; join morsels must queue, not wedge or corrupt.
   const Dataset d = PathologicalDataset();
-  const auto reference = NestedLoopJoin(d.left, d.right, 1, 0);
+  const auto reference = ReferenceJoin(d.left, d.right, 1, 0);
   pool_.SetConcurrencyQuota(1);
-  EXPECT_EQ(reference, HashJoin(d.left, d.right, 1, 0, Par(8)));
+  EXPECT_EQ(reference, Join(d, Par(8)));
   pool_.SetConcurrencyQuota(0);
 }
 
-// Reader/writer stress: parallel joins over ScanHtap snapshots while a
+// Reader/writer stress: parallel joins over HTAP scan snapshots while a
 // writer churns the fact table with AppendBatch/DeleteKey/Compact. Every
 // fact row carries fk = id % kDimRows and the dimension is static with
 // unique keys, so each scanned fact row must join to exactly one dimension
@@ -199,12 +204,13 @@ TEST_F(ParallelJoinTest, ConcurrentJoinsAgainstChurningFactTable) {
     ExecContext exec{&pool_, 4};
     exec.min_parallel_join_build = 1;
     do {
-      const auto facts = ScanHtap(fact, nullptr, kMaxCSN - 1,
-                                  Predicate::True(), {}, exec, nullptr);
-      const auto dims = ScanHtap(dim, nullptr, kMaxCSN - 1, Predicate::True(),
-                                 {}, exec, nullptr);
+      const auto facts = ScanHtapRows(fact, nullptr, kMaxCSN - 1,
+                                      Predicate::True(), {}, exec);
+      const auto dims = ScanHtapRows(dim, nullptr, kMaxCSN - 1,
+                                     Predicate::True(), {}, exec);
       ASSERT_EQ(dims.size(), static_cast<size_t>(kDimRows));
-      const auto joined = HashJoin(facts, dims, 1, 0, exec);
+      const auto joined =
+          HashJoinRows(facts, FactSchema(), dims, DimSchema(), 1, 0, exec);
       // Unique dimension keys: every fact row matches exactly once.
       EXPECT_EQ(joined.size(), facts.size());
       for (const Row& r : joined) {

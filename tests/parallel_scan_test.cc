@@ -1,5 +1,6 @@
-// Morsel-driven parallel execution tests: parallel ScanHtap / ScanRowStore /
-// HashAggregate must agree with their serial counterparts, the typed filter
+// Morsel-driven parallel execution tests: parallel ScanHtapBatches /
+// ScanRowStore / HashAggregate must agree with their serial counterparts,
+// the typed filter
 // fast paths must match generic evaluation, and parallel readers must stay
 // correct while a sync-pipeline writer appends/deletes/compacts concurrently.
 
@@ -12,6 +13,7 @@
 
 #include "core/database.h"
 #include "exec/executor.h"
+#include "reference_executor.h"
 #include "txn/txn_manager.h"
 
 namespace htap {
@@ -85,8 +87,9 @@ TEST_F(ParallelScanTest, MatchesSerialExactlyIncludingOrder) {
          {std::vector<int>{}, std::vector<int>{0, 3}}) {
       ScanStats serial_st, par_st;
       const auto serial =
-          ScanHtap(table_, &delta_, kMaxCSN - 1, pred, proj, &serial_st);
-      const auto par = ScanHtap(table_, &delta_, kMaxCSN - 1, pred, proj,
+          ScanHtapRows(table_, &delta_, kMaxCSN - 1, pred, proj,
+                       ExecContext{}, &serial_st);
+      const auto par = ScanHtapRows(table_, &delta_, kMaxCSN - 1, pred, proj,
                                 Par(), &par_st);
       // Exact equality, including row order: per-group partials are merged
       // in group index order and the delta partition comes last either way.
@@ -103,15 +106,16 @@ TEST_F(ParallelScanTest, MatchesSerialExactlyIncludingOrder) {
 TEST_F(ParallelScanTest, MoreWorkersThanGroupsIsFine) {
   ColumnTable one(TestSchema());
   one.AppendBatch({TRow(1, 1, "a", 1.0), TRow(2, 2, "b", 2.0)}, 1);
-  const auto serial = ScanHtap(one, nullptr, kMaxCSN - 1, Predicate::True(), {});
-  const auto par = ScanHtap(one, nullptr, kMaxCSN - 1, Predicate::True(), {},
-                            Par(), nullptr);
+  const auto serial =
+      ScanHtapRows(one, nullptr, kMaxCSN - 1, Predicate::True(), {});
+  const auto par =
+      ScanHtapRows(one, nullptr, kMaxCSN - 1, Predicate::True(), {}, Par());
   EXPECT_EQ(serial, par);
   // Empty table, parallel context.
   ColumnTable empty(TestSchema());
-  EXPECT_TRUE(ScanHtap(empty, nullptr, kMaxCSN - 1, Predicate::True(), {},
-                       Par(), nullptr)
-                  .empty());
+  EXPECT_TRUE(
+      ScanHtapRows(empty, nullptr, kMaxCSN - 1, Predicate::True(), {}, Par())
+          .empty());
 }
 
 TEST_F(ParallelScanTest, DoubleFastPathMatchesGenericEval) {
@@ -124,12 +128,12 @@ TEST_F(ParallelScanTest, DoubleFastPathMatchesGenericEval) {
       Predicate::Le(3, Value(int64_t{2})),
   };
   const auto all =
-      ScanHtap(table_, &delta_, kMaxCSN - 1, Predicate::True(), {});
+      ScanHtapRows(table_, &delta_, kMaxCSN - 1, Predicate::True(), {});
   for (const Predicate& pred : preds) {
     std::vector<Row> expect;
     for (const Row& r : all)
       if (pred.Eval(r)) expect.push_back(r);
-    const auto got = ScanHtap(table_, &delta_, kMaxCSN - 1, pred, {});
+    const auto got = ScanHtapRows(table_, &delta_, kMaxCSN - 1, pred, {});
     EXPECT_EQ(expect, got) << pred.ToString(nullptr);
   }
 }
@@ -145,7 +149,7 @@ TEST_F(ParallelScanTest, NullableDoubleColumnFallsBackCorrectly) {
   t.AppendBatch(rows, 1);
   // Nulls never satisfy comparisons.
   const auto out =
-      ScanHtap(t, nullptr, kMaxCSN - 1, Predicate::Ge(3, Value(0.0)), {});
+      ScanHtapRows(t, nullptr, kMaxCSN - 1, Predicate::Ge(3, Value(0.0)), {});
   EXPECT_EQ(out.size(), 32u - 7u);
   for (const Row& r : out) EXPECT_NE(r.Get(0).AsInt64() % 5, 0);
 }
@@ -164,10 +168,14 @@ TEST_F(ParallelScanTest, ParallelRowScanMatchesSerial) {
   const Snapshot snap = mgr.CurrentSnapshot();
   for (const Predicate& pred :
        {Predicate::True(), Predicate::Eq(1, Value(int64_t{3}))}) {
-    const auto serial = ScanRowStore(store, snap, pred, {});
-    const auto par = ScanRowStore(store, snap, pred, {}, Par());
+    const auto serial =
+        BatchesToRows(ScanRowStore(store, snap, pred, {}, ExecContext{}));
+    ExecContext par = Par();
+    par.batch_rows = 16;  // several batches per key range
+    const auto batches = ScanRowStore(store, snap, pred, {}, par);
     // Range partitions concatenate in key order — identical to serial.
-    EXPECT_EQ(serial, par);
+    EXPECT_EQ(serial, BatchesToRows(batches));
+    for (const ColumnBatch& b : batches) EXPECT_LE(b.rows(), 16u);
   }
 }
 
@@ -205,22 +213,22 @@ TEST_F(ParallelScanTest, ParallelAggregateMatchesSerial) {
        {std::vector<int>{}, std::vector<int>{2}, std::vector<int>{1, 2}}) {
     // Groups come out in first-seen order at any worker count; the sums
     // here are of integers, so they match exactly too.
-    EXPECT_EQ(HashAggregate(rows, groups, aggs, Par()),
-              HashAggregate(rows, groups, aggs));
+    EXPECT_EQ(AggregateRows(rows, TestSchema(), groups, aggs, Par()),
+              AggregateRows(rows, TestSchema(), groups, aggs));
   }
   // Empty input: global aggregate still yields its one row in parallel mode.
-  const auto empty =
-      HashAggregate(std::vector<Row>{}, {}, {AggSpec::Count("n")}, Par());
+  const auto empty = HashAggregate(std::vector<ColumnBatch>{}, {},
+                                   {AggSpec::Count("n")}, Par());
   ASSERT_EQ(empty.size(), 1u);
   EXPECT_EQ(empty[0].Get(0).AsInt64(), 0);
 }
 
 TEST_F(ParallelScanTest, BatchScanMatchesSerialAtAnyThreadCount) {
-  // The vectorized scan joins the serial≡parallel suite: batches flattened
-  // back to rows must equal the serial row scan bit for bit.
+  // Parallel batches of 48 rows flattened back to rows must equal the
+  // serial scan's bit for bit.
   const Predicate pred = Predicate::And(
       {Predicate::Ge(1, Value(int64_t{3})), Predicate::Eq(2, Value("odd"))});
-  const auto serial = ScanHtap(table_, &delta_, kMaxCSN - 1, pred, {});
+  const auto serial = ScanHtapRows(table_, &delta_, kMaxCSN - 1, pred, {});
   ExecContext exec = Par();
   exec.batch_rows = 48;  // force several batches per row group
   const auto batches =
@@ -355,8 +363,8 @@ TEST_F(ParallelScanTest, ConcurrentReadersWithAppendDeleteCompactWriter) {
 
   auto reader = [&] {
     do {
-      const auto out = ScanHtap(t, &delta, kMaxCSN - 1, Predicate::True(), {},
-                                ExecContext{&pool_, 4}, nullptr);
+      const auto out = ScanHtapRows(t, &delta, kMaxCSN - 1, Predicate::True(),
+                                    {}, ExecContext{&pool_, 4});
       std::set<Key> keys;
       int64_t patched = 0, fresh = 0;
       for (const Row& r : out) {

@@ -41,21 +41,13 @@ class QueryRunnerTest : public ::testing::Test {
   /// and records what was requested.
   ScanFn MakeScan() {
     return [this](const ScanRequest& req, ScanStats*,
-                  std::string*) -> Result<std::vector<Row>> {
+                  std::string*) -> Result<std::vector<ColumnBatch>> {
       last_projection_ = req.projection;
       const auto& source = req.table->name == "sales" ? sales_ : cust_;
-      std::vector<Row> out;
-      for (const Row& r : source) {
-        if (!req.pred->Eval(r)) continue;
-        if (req.projection.empty()) {
-          out.push_back(r);
-        } else {
-          Row p;
-          for (int c : req.projection) p.Append(r.Get(static_cast<size_t>(c)));
-          out.push_back(std::move(p));
-        }
-      }
-      return out;
+      BatchBuilder out(req.table->schema, req.projection, 4096);
+      for (const Row& r : source)
+        if (req.pred->Eval(r)) out.Add(r);
+      return out.Finish();
     };
   }
 

@@ -7,6 +7,7 @@
 #include <cstdlib>
 
 #include "core/database.h"
+#include "reference_executor.h"
 #include "sql/sql.h"
 
 namespace htap {
@@ -388,6 +389,9 @@ TEST_P(SqlNullAggregateTest, CountAndAvgSkipNullsOnEveryPath) {
       auto res = db_->Query(plan);
       ASSERT_TRUE(res.ok()) << res.status().ToString();
       ExpectAnswer(res->rows);
+      ExpectMatchesReference(db_.get(), plan, /*ordered=*/true,
+                             path == PathHint::kForceRow ? "row path"
+                                                         : "column path");
     }
   }
 }

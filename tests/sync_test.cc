@@ -16,6 +16,7 @@
 #include "common/random.h"
 #include "exec/batch.h"
 #include "exec/executor.h"
+#include "reference_executor.h"
 #include "sync/sync.h"
 
 namespace htap {
@@ -31,7 +32,7 @@ Row MakeRow(Key id, int64_t v) { return Row{Value(id), Value(v)}; }
 std::map<Key, int64_t> HtapState(const ColumnTable& table,
                                  const DeltaReader* delta, CSN snap) {
   std::map<Key, int64_t> out;
-  for (const Row& r : ScanHtap(table, delta, snap, Predicate::True(), {}))
+  for (const Row& r : ScanHtapRows(table, delta, snap, Predicate::True(), {}))
     out[r.Get(0).AsInt64()] = r.Get(1).AsInt64();
   return out;
 }
@@ -103,6 +104,46 @@ TEST(SyncTest, LogMergeConvergesColumnStore) {
   ASSERT_TRUE(sync.SyncTo(50).ok());
   EXPECT_EQ(table.live_rows(), 50u);
   EXPECT_EQ(delta.num_files(), 0u);
+}
+
+// A log merge to a CSN inside a delta file drains exactly the entries at or
+// below it, as the in-memory store does: merged_csn then claims only what
+// the main holds.
+TEST(SyncTest, LogMergeSplitsTheFileStraddlingTheTarget) {
+  LogDeltaStore delta(TestSchema());
+  ColumnTable table(TestSchema());
+  DataSynchronizer sync(
+      SyncStrategy::kLogMerge, &table,
+      std::make_unique<DeltaSourceAdapter<LogDeltaStore>>(&delta));
+  for (CSN lo : {CSN{1}, CSN{3}}) {
+    std::vector<DeltaEntry> file;
+    for (CSN c = lo; c <= lo + 1; ++c) {
+      DeltaEntry e;
+      e.op = ChangeOp::kInsert;
+      e.key = static_cast<Key>(c);
+      e.row = MakeRow(e.key, static_cast<int64_t>(c) * 10);
+      e.csn = c;
+      file.push_back(e);
+    }
+    ASSERT_TRUE(delta.AppendFile(file).ok());
+  }
+  ASSERT_TRUE(sync.SyncTo(3).ok());
+  EXPECT_EQ(table.merged_csn(), 3u);
+  size_t gi, off;
+  EXPECT_TRUE(table.FindKey(3, &gi, &off));
+  EXPECT_FALSE(table.FindKey(4, &gi, &off));
+  EXPECT_EQ(delta.EntryCount(), 1u);
+  DeltaEntry latest;
+  EXPECT_TRUE(delta.LookupLatest(4, &latest));
+  EXPECT_EQ(latest.row, MakeRow(4, 40));
+  EXPECT_FALSE(delta.LookupLatest(3, &latest));
+  // A non-fresh scan (no delta union) sees key 3 from the main alone.
+  const std::map<Key, int64_t> main_only = HtapState(table, nullptr, 3);
+  EXPECT_EQ(main_only, (std::map<Key, int64_t>{{1, 10}, {2, 20}, {3, 30}}));
+  // The rest merges later, in order.
+  ASSERT_TRUE(sync.SyncTo(4).ok());
+  EXPECT_EQ(delta.EntryCount(), 0u);
+  EXPECT_EQ(table.live_rows(), 4u);
 }
 
 TEST(SyncTest, RebuildFromPrimaryMatchesRowStore) {
@@ -282,7 +323,7 @@ TEST(SyncTest, FreshScansNeverFallBetweenDrainAndApply) {
       const std::vector<Row> rows =
           batches ? BatchesToRows(ScanHtapBatches(table, &delta, c,
                                                   Predicate::True(), {}, exec))
-                  : ScanHtap(table, &delta, c, Predicate::True(), {});
+                  : ScanHtapRows(table, &delta, c, Predicate::True(), {});
       std::vector<int> seen(kKeys, 0);
       for (const Row& r : rows) ++seen[static_cast<size_t>(r.Get(0).AsInt64())];
       for (Key k = 0; k < kKeys; ++k) {
