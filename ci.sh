@@ -16,7 +16,9 @@
 #            drain/apply and its typed gather), the typed stats path in
 #            optimizer_test, and the EBR/OLC concurrency tests
 #   tsan   — TSan over the concurrency tests (zero suppressions), including
-#            delta_test's chunk append racing scan and drain
+#            delta_test's chunk append racing scan and drain and
+#            disk_engine_test's (c) merge daemon racing commits, IMCS
+#            rebuilds and scans
 #   static — clang thread-safety build (-DHTAP_THREAD_SAFETY=ON, -Werror)
 #            — skipped with a notice when clang++ is not installed
 #   tidy   — clang-tidy over every first-party TU — skipped with a notice
@@ -170,7 +172,7 @@ suite_tsan() {
                     columnar_test executor_test common_test sync_test
                     delta_test scheduler_test vectorized_exec_test vectorized_join_test
                     reference_executor_test
-                    thread_safety_regression_test
+                    thread_safety_regression_test disk_engine_test
                     ebr_test tp_scaling_test
                     sim_test raft_test dist_db_test)
   cmake -B build-tsan -S . -DHTAP_TSAN=ON > /dev/null

@@ -114,23 +114,40 @@ size_t ColumnTable::Compact() {
   WriteGuard g(latch_);
   size_t before = 0, after = 0;
   for (auto& gp : groups_) before += gp->MemoryBytes();
+  CompactFromLocked(0);
+  for (auto& gp : groups_) after += gp->MemoryBytes();
+  return before > after ? before - after : 0;
+}
 
-  // Gather all live cells column by column, rebuild as a fresh group list.
+bool ColumnTable::CompactSmallTail(size_t below_rows, size_t max_small) {
+  WriteGuard g(latch_);
+  size_t first = groups_.size();
+  while (first > 0 && groups_[first - 1]->num_rows < below_rows) --first;
+  if (groups_.size() - first <= max_small) return false;
+  CompactFromLocked(first);
+  return true;
+}
+
+void ColumnTable::CompactFromLocked(size_t first) {
+  // Gather the live cells column by column; their keys leave the index and
+  // come back at their new positions.
   std::vector<ColumnVector> live;
   for (size_t c = 0; c < schema_.num_columns(); ++c)
     live.emplace_back(schema_.column(c).type);
-  for (const auto& gp : groups_) {
-    for (size_t c = 0; c < gp->columns.size(); ++c) {
-      const ColumnVector decoded = gp->columns[c].Decode();
-      for (size_t i = 0; i < gp->num_rows; ++i)
-        if (!gp->deleted.Test(i)) live[c].AppendFrom(decoded, i);
+  if (first == 0) key_index_.clear();
+  for (size_t j = first; j < groups_.size(); ++j) {
+    const RowGroup& gp = *groups_[j];
+    if (first != 0)
+      for (size_t i = 0; i < gp.num_rows; ++i)
+        if (!gp.deleted.Test(i)) key_index_.erase(gp.keys[i]);
+    for (size_t c = 0; c < gp.columns.size(); ++c) {
+      const ColumnVector decoded = gp.columns[c].Decode();
+      for (size_t i = 0; i < gp.num_rows; ++i)
+        if (!gp.deleted.Test(i)) live[c].AppendFrom(decoded, i);
     }
   }
-  groups_.clear();
-  key_index_.clear();
+  groups_.resize(first);
   AppendColumnsLocked(live);
-  for (auto& gp : groups_) after += gp->MemoryBytes();
-  return before > after ? before - after : 0;
 }
 
 size_t ColumnTable::num_groups() const {
@@ -163,6 +180,13 @@ size_t ColumnTable::live_rows() const {
   ReadGuard g(latch_);
   size_t n = 0;
   for (const auto& gp : groups_) n += gp->num_rows - gp->deleted.Count();
+  return n;
+}
+
+size_t ColumnTable::dead_rows() const {
+  ReadGuard g(latch_);
+  size_t n = 0;
+  for (const auto& gp : groups_) n += gp->deleted.Count();
   return n;
 }
 

@@ -84,6 +84,13 @@ class ColumnTable {
   /// bytes reclaimed (approximate).
   size_t Compact();
 
+  /// Rewrites the trailing run of groups of fewer than `below_rows` rows
+  /// as one group of their live rows, once the run is longer than
+  /// `max_small`; the groups before it stay as they are. Merges that each
+  /// append one small group thus leave scans a bounded number of groups,
+  /// for about the rows they appended. Returns whether it compacted.
+  bool CompactSmallTail(size_t below_rows, size_t max_small);
+
   /// Opt into the size-estimating compression advisor: segments built after
   /// this call (appends from the sync pipeline, Compact rebuilds) pick their
   /// encoding via AdviseEncoding instead of the ChooseEncoding heuristics.
@@ -126,6 +133,8 @@ class ColumnTable {
 
   /// Rows not delete-marked.
   size_t live_rows() const;
+  /// Rows delete-marked (deleted or superseded) that Compact would drop.
+  size_t dead_rows() const;
   size_t MemoryBytes() const;
 
   /// Per-encoding segment counts and bytes across all row groups — the
@@ -143,6 +152,8 @@ class ColumnTable {
  private:
   void AppendColumnsLocked(const std::vector<ColumnVector>& columns)
       REQUIRES(latch_);
+  /// Rewrites groups [first, end) as one new last group of their live rows.
+  void CompactFromLocked(size_t first) REQUIRES(latch_);
   bool DeleteKeyLocked(Key key) REQUIRES(latch_);
 
   const Schema schema_;

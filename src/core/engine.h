@@ -72,7 +72,7 @@ struct EngineStats {
   uint64_t buffer_pool_misses = 0;  // architecture (c)
   uint64_t sim_messages = 0;        // architecture (b)
   /// Merge time by stage, summed across the tables of the engines that
-  /// merge through a DataSynchronizer (architectures a and d).
+  /// merge a delta into a column store (architectures a, c and d).
   SyncStageTimes sync_stages;
 };
 

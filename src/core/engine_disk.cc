@@ -3,24 +3,51 @@
 // working set) with write-through to a disk heap; analytical queries are
 // pushed down to the IMCS when every referenced column is loaded, and fall
 // back to scanning the disk heap (paying buffer-pool I/O) otherwise. The
-// column advisor decides what is loaded under the memory budget.
+// column advisor decides what is loaded under the memory budget. Committed
+// changes reach the IMCS in the background (the shared SyncDaemon, when
+// DatabaseOptions::background_sync is on) and before every IMCS scan.
+
+#include <stdlib.h>
 
 #include <algorithm>
+#include <filesystem>
 
 #include "core/engines.h"
+#include "storage/spill_file.h"
 
 namespace htap {
 
 namespace {
 
+/// The WAL in `dir`; in memory if `dir` is empty (no directory could be
+/// made, and CreateTable reports it).
 std::unique_ptr<WalWriter> MakeWal(const DatabaseOptions& options,
+                                   const std::string& dir,
                                    const std::string& name) {
   if (!options.wal_enabled) return nullptr;
   WalWriter::Options wo;
-  const std::string dir = options.data_dir.empty() ? "/tmp" : options.data_dir;
-  wo.path = dir + "/" + name + ".wal";
+  if (!dir.empty()) wo.path = dir + "/" + name + ".wal";
   wo.sync_on_commit = options.sync_on_commit;
   return std::make_unique<WalWriter>(wo);
+}
+
+/// Each merge appends one small row group and delete-marks the versions it
+/// supersedes; with the daemon merging every few milliseconds both pile up
+/// and every scan pays for them (more, smaller batches; dead positions).
+/// A trailing run of more than kMaxSmallGroups groups under one batch of
+/// rows is rewritten as one group, for about the rows merged since the last
+/// time. Once dead rows outnumber both `dead_threshold` and the live rows,
+/// the whole generation is compacted, as DataSynchronizer does for (a) and
+/// (d) on its delete count; the live-row floor means a compaction rewrites
+/// fewer rows than it drops. The caller is the one writer.
+constexpr size_t kSmallGroupRows = 4096;
+constexpr size_t kMaxSmallGroups = 8;
+
+void CompactIfWorn(ColumnTable* imcs, size_t dead_threshold) {
+  if (imcs->dead_rows() > std::max(dead_threshold, imcs->live_rows()))
+    imcs->Compact();
+  else
+    imcs->CompactSmallTail(kSmallGroupRows, kMaxSmallGroups);
 }
 
 std::vector<int> TouchedColumns(const ScanRequest& req) {
@@ -100,28 +127,53 @@ class ProjectingDeltaReader : public DeltaReader {
 
 }  // namespace
 
+DiskHtapEngine::ScopedDataDir::ScopedDataDir(const std::string& path)
+    : path_(path) {
+  if (!path_.empty()) return;
+  std::string tmpl = DefaultSpillDir() + "/htap-disk-XXXXXX";
+  if (::mkdtemp(tmpl.data()) == nullptr) return;
+  path_ = std::move(tmpl);
+  owned_ = true;
+}
+
+DiskHtapEngine::ScopedDataDir::~ScopedDataDir() {
+  if (!owned_) return;
+  std::error_code ec;
+  std::filesystem::remove_all(path_, ec);
+}
+
 DiskHtapEngine::DiskHtapEngine(const DatabaseOptions& options,
                                Catalog* catalog)
     : options_(options),
       catalog_(catalog),
-      wal_(MakeWal(options, "diskrow")),
+      data_dir_(options.data_dir),
+      wal_(MakeWal(options, data_dir_.path(), "diskrow")),
       layer_(wal_.get(), options.commit_shards),
       ap_(options_) {
   layer_.txn_mgr()->RegisterSink(this);
   layer_.txn_mgr()->RegisterSink(&freshness_);
+  if (options_.background_sync) {
+    daemon_ = std::make_unique<SyncDaemon>(layer_.txn_mgr(),
+                                           options_.sync_interval_micros,
+                                           options_.sync_entry_threshold);
+    daemon_->Start();
+  }
 }
 
-DiskHtapEngine::~DiskHtapEngine() = default;
+DiskHtapEngine::~DiskHtapEngine() {
+  // The daemon's tasks are the tables: stop it before they go away.
+  if (daemon_) daemon_->Stop();
+}
 
 Status DiskHtapEngine::CreateTable(const TableInfo& info) {
+  if (data_dir_.path().empty())
+    return Status::IOError("no data directory for the disk heap");
   HTAP_RETURN_NOT_OK(layer_.AddTable(info, wal_.get()));
-  auto ts = std::make_unique<TableState>();
+  auto ts = std::make_unique<TableState>(this);
   ts->info = info;
-  const std::string dir =
-      options_.data_dir.empty() ? "/tmp" : options_.data_dir;
-  ts->heap = std::make_unique<DiskRowStore>(dir + "/" + info.name + ".heap",
-                                            info.schema,
-                                            options_.buffer_pool_pages);
+  ts->heap = std::make_unique<DiskRowStore>(
+      data_dir_.path() + "/" + info.name + ".heap", info.schema,
+      options_.buffer_pool_pages);
   HTAP_RETURN_NOT_OK(ts->heap->Open());
   ts->delta = std::make_unique<InMemoryDeltaStore>(info.schema);
   // Start with every column loaded; RefreshColumnSelection applies the
@@ -130,6 +182,7 @@ Status DiskHtapEngine::CreateTable(const TableInfo& info) {
     ts->loaded.push_back(static_cast<int>(c));
   ts->imcs = std::make_shared<ColumnTable>(info.schema);
   if (options_.compression_advisor) ts->imcs->EnableCompressionAdvisor(true);
+  if (daemon_) daemon_->AddTask(ts.get());
   MutexLock lk(&tables_mu_);
   tables_[info.id] = std::move(ts);
   return Status::OK();
@@ -175,39 +228,50 @@ void DiskHtapEngine::OnCommit(const std::vector<ChangeEvent>& events) {
 }
 
 Status DiskHtapEngine::SyncImcs(TableState* ts, CSN target,
-                                std::shared_ptr<ColumnTable>* imcs_out,
-                                std::vector<int>* loaded_out) {
+                                PinnedImcs* pinned) {
   // merge_mu serializes drain+apply: two unserialized drains could apply
   // delta batches out of commit order, and a drain concurrent with
   // RefreshColumnSelection could lose its entries into a superseded
   // generation. It is taken *before* tables_mu_ (rank 280 < 300) so the
   // generation snapshot below is the one current for the whole merge.
   MutexLock merge_lk(&ts->merge_mu);
-  std::shared_ptr<ColumnTable> imcs;
-  std::vector<int> loaded;
+  PinnedImcs gen;
   {
     MutexLock lk(&tables_mu_);
-    imcs = ts->imcs;
-    loaded = ts->loaded;
+    gen.imcs = ts->imcs;
+    gen.loaded = ts->loaded;
   }
-  // Drain and apply in one hold of the IMCS write latch, so a fresh scan
-  // never sees drained entries in neither the delta nor the IMCS.
-  ColumnTable* const table = imcs.get();
-  {
-    WriteGuard g(table->latch());
-    std::vector<DeltaChunk> chunks = ts->delta->DrainUpTo(target);
-    // Project to the loaded columns by picking their vectors.
-    for (DeltaChunk& c : chunks) {
-      std::vector<ColumnVector> picked;
-      picked.reserve(loaded.size());
-      for (int col : loaded)
-        picked.push_back(std::move(c.columns[static_cast<size_t>(col)]));
-      c.columns = std::move(picked);
-    }
-    MergeChunksLocked(table, chunks, target);
+  ColumnTable* const table = gen.imcs.get();
+  if (target > table->merged_csn()) {
+    const std::vector<int>& loaded = gen.loaded;
+    SyncStageTimes times;
+    const size_t entries = DrainAndMerge(
+        table,
+        [&] {
+          std::vector<DeltaChunk> chunks = ts->delta->DrainUpTo(target);
+          // Project to the loaded columns by picking their vectors.
+          for (DeltaChunk& c : chunks) {
+            std::vector<ColumnVector> picked;
+            picked.reserve(loaded.size());
+            for (int col : loaded)
+              picked.push_back(std::move(c.columns[static_cast<size_t>(col)]));
+            c.columns = std::move(picked);
+          }
+          return chunks;
+        },
+        target, &times,
+        [&](const std::vector<DeltaChunk>&) {
+          CompactIfWorn(table, options_.stats_compact_delete_threshold);
+        });
+    MutexLock lk(&ts->merge_stats_mu);
+    ++ts->merge_stats.merges;
+    ts->merge_stats.entries_merged += entries;
+    ts->merge_stats.stages.Add(times);
   }
-  if (imcs_out != nullptr) *imcs_out = std::move(imcs);
-  if (loaded_out != nullptr) *loaded_out = std::move(loaded);
+  // Read under merge_mu, after any merge: at least `target`, and past it
+  // when a rebuild published this generation from a later heap.
+  gen.synced_csn = table->merged_csn();
+  if (pinned != nullptr) *pinned = std::move(gen);
   return Status::OK();
 }
 
@@ -227,8 +291,8 @@ TableStats DiskHtapEngine::RefreshedStats(TableState* ts) {
   ts->stats = TableStats::Compute(ts->info.schema, sample);
   ts->stats.row_count = store->ApproxRowCount();
   ts->stats_at_csn = now;
-  // This architecture has no sync driver to maintain stats incrementally;
-  // the sampling refresher doubles as the catalog publisher (DESIGN.md §10).
+  // This architecture's merges keep no incremental stats; the sampling
+  // refresher doubles as the catalog publisher (DESIGN.md §10).
   catalog_->PublishStats(ts->info.name, ts->stats, now);
   return ts->stats;
 }
@@ -236,11 +300,13 @@ TableStats DiskHtapEngine::RefreshedStats(TableState* ts) {
 Result<ColumnAdvisor::Selection> DiskHtapEngine::RefreshColumnSelection(
     const TableInfo& tbl) {
   TableState* ts;
+  std::function<void(HookPoint)> hook;
   {
     MutexLock lk(&tables_mu_);
     const auto it = tables_.find(tbl.id);
     if (it == tables_.end()) return Status::NotFound("no such table");
     ts = it->second.get();
+    hook = test_hook_;
   }
   const TableStats table_stats = RefreshedStats(ts);
   const std::vector<size_t> col_bytes =
@@ -259,11 +325,17 @@ Result<ColumnAdvisor::Selection> DiskHtapEngine::RefreshColumnSelection(
   // Rebuild the IMCS on the new projection from the durable heap, as a new
   // generation. merge_mu keeps SyncImcs out for the whole drain+rebuild, so
   // no merge can strand drained entries in the superseded generation; in-
-  // flight scans keep their pinned shared_ptr alive until they finish.
+  // flight scans keep their pinned shared_ptr alive until they finish, and
+  // read the delta only up to the CSN their generation was synced to, so
+  // the drain takes nothing they still need. Changes committed after the
+  // drain stay in the delta even where the heap scan also sees them: a
+  // scan of the new generation reads the delta at its merged_csn, where
+  // the latest version of each such key wins.
   MutexLock merge_lk(&ts->merge_mu);
   auto imcs = std::make_shared<ColumnTable>(tbl.schema.Project(sel.columns));
   if (options_.compression_advisor) imcs->EnableCompressionAdvisor(true);
   ts->delta->DrainUpTo(kMaxCSN);  // heap already reflects these
+  if (hook) hook(HookPoint::kRebuildDrained);
   // The heap rows go straight into the loaded columns' vectors.
   std::vector<ColumnVector> columns;
   for (size_t c = 0; c < sel.columns.size(); ++c)
@@ -285,6 +357,11 @@ Result<ColumnAdvisor::Selection> DiskHtapEngine::RefreshColumnSelection(
   return sel;
 }
 
+void DiskHtapEngine::SetHookForTest(std::function<void(HookPoint)> hook) {
+  MutexLock lk(&tables_mu_);
+  test_hook_ = std::move(hook);
+}
+
 std::vector<int> DiskHtapEngine::LoadedColumns(uint32_t table_id) const {
   MutexLock lk(&tables_mu_);
   const auto it = tables_.find(table_id);
@@ -292,7 +369,8 @@ std::vector<int> DiskHtapEngine::LoadedColumns(uint32_t table_id) const {
 }
 
 Result<DiskHtapEngine::ImcsAccess> DiskHtapEngine::ResolveAccess(
-    const ScanRequest& req, TableState* ts) {
+    const ScanRequest& req, TableState* ts,
+    const std::function<void(HookPoint)>& hook) {
   ImcsAccess out;
   std::vector<int> loaded0;
   {
@@ -342,11 +420,14 @@ Result<DiskHtapEngine::ImcsAccess> DiskHtapEngine::ResolveAccess(
 
   // Keep the IMCS current, then pin the synced generation. SyncImcs pins
   // the generation it merged into, so a concurrent RefreshColumnSelection
-  // cannot free it under the scan that follows.
-  std::shared_ptr<ColumnTable> imcs;
-  std::vector<int> loaded;
-  HTAP_RETURN_NOT_OK(
-      SyncImcs(ts, layer_.txn_mgr()->LastCommittedCsn(), &imcs, &loaded));
+  // cannot free it under the scan that follows. The scan then reads the
+  // delta at the generation's synced_csn, not at the target: a rebuild
+  // that ran in between may have published a generation past the target,
+  // and an older delta entry must not hide its newer row.
+  const CSN target = layer_.txn_mgr()->LastCommittedCsn();
+  if (hook) hook(HookPoint::kScanTargetTaken);
+  HTAP_RETURN_NOT_OK(SyncImcs(ts, target, &out.gen));
+  const std::vector<int>& loaded = out.gen.loaded;
   // Re-check against the generation actually pinned: a concurrent refresh
   // may have evicted a touched column since the capability check above.
   const bool still_capable =
@@ -367,8 +448,6 @@ Result<DiskHtapEngine::ImcsAccess> DiskHtapEngine::ResolveAccess(
   out.pred = RemapPredicate(*req.pred, base_to_imcs);
   for (int c : req.projection)
     out.proj.push_back(base_to_imcs[static_cast<size_t>(c)]);
-  out.imcs = std::move(imcs);
-  out.loaded = std::move(loaded);
   return out;
 }
 
@@ -376,21 +455,25 @@ Result<std::vector<ColumnBatch>> DiskHtapEngine::Scan(const ScanRequest& req,
                                                       ScanStats* stats,
                                                       std::string* path_desc) {
   TableState* ts;
+  std::function<void(HookPoint)> hook;
   {
     MutexLock lk(&tables_mu_);
     const auto it = tables_.find(req.table->id);
     if (it == tables_.end()) return Status::NotFound("no such table");
     ts = it->second.get();
+    hook = test_hook_;
   }
   advisor_.RecordAccess(req.table->name, TouchedColumns(req));
-  HTAP_ASSIGN_OR_RETURN(ImcsAccess acc, ResolveAccess(req, ts));
+  HTAP_ASSIGN_OR_RETURN(ImcsAccess acc, ResolveAccess(req, ts, hook));
 
   if (acc.path == AccessPath::kColumnScan && acc.imcs_ready) {
     if (path_desc != nullptr) *path_desc = "imcs-pushdown";
-    ProjectingDeltaReader delta(ts->delta.get(), acc.loaded);
-    return ScanHtapBatches(*acc.imcs, req.require_fresh ? &delta : nullptr,
-                           layer_.txn_mgr()->LastCommittedCsn(), acc.pred,
-                           acc.proj, ap_.ctx(), stats);
+    if (hook) hook(HookPoint::kScanPinned);
+    ProjectingDeltaReader delta(ts->delta.get(), acc.gen.loaded);
+    return ScanHtapBatches(*acc.gen.imcs,
+                           req.require_fresh ? &delta : nullptr,
+                           acc.gen.synced_csn, acc.pred, acc.proj, ap_.ctx(),
+                           stats);
   }
 
   BatchBuilder out(req.table->schema, req.projection, ap_.batch_rows);
@@ -429,7 +512,7 @@ Status DiskHtapEngine::ForceSync(const TableInfo& tbl) {
   }
   // SyncImcs takes merge_mu then tables_mu_; calling it with tables_mu_
   // held would invert the rank order.
-  return SyncImcs(ts, layer_.txn_mgr()->LastCommittedCsn(), nullptr, nullptr);
+  return SyncImcs(ts, layer_.txn_mgr()->LastCommittedCsn(), nullptr);
 }
 
 FreshnessInfo DiskHtapEngine::Freshness(const TableInfo& tbl) {
@@ -455,6 +538,12 @@ EngineStats DiskHtapEngine::Stats() {
   s.row_store_bytes = layer_.TotalRowStoreBytes();
   MutexLock lk(&tables_mu_);
   for (const auto& [tid, ts] : tables_) {
+    {
+      MutexLock mlk(&ts->merge_stats_mu);
+      s.merges += ts->merge_stats.merges;
+      s.entries_merged += ts->merge_stats.entries_merged;
+      s.sync_stages.Add(ts->merge_stats.stages);
+    }
     s.column_store_bytes += ts->imcs->MemoryBytes();
     s.column_encodings.Merge(ts->imcs->EncodingStats());
     s.delta_bytes += ts->delta->MemoryBytes();

@@ -13,7 +13,9 @@
 #ifndef HTAP_CORE_ENGINES_H_
 #define HTAP_CORE_ENGINES_H_
 
+#include <functional>
 #include <memory>
+#include <string>
 #include <unordered_map>
 
 #include "common/mutex.h"
@@ -238,8 +240,47 @@ class DiskHtapEngine : public HtapEngine, public ChangeSink {
   /// Columns currently loaded in the IMCS for a table (base indexes).
   std::vector<int> LoadedColumns(uint32_t table_id) const;
 
+  /// Where the WAL and heap files live: DatabaseOptions::data_dir, or a
+  /// private temporary directory removed with the engine.
+  const std::string& data_dir() const { return data_dir_.path(); }
+
+  /// Test seam: the hook runs at each of these points, with no engine lock
+  /// held but the rebuild's merge lock at kRebuildDrained, so a test can
+  /// commit, merge or rebuild in the window that follows.
+  enum class HookPoint {
+    kScanTargetTaken,  // an IMCS scan chose its sync target, not yet synced
+    kScanPinned,       // it synced and pinned its generation, not yet read
+    kRebuildDrained,   // a rebuild drained the delta, not yet read the heap
+  };
+  void SetHookForTest(std::function<void(HookPoint)> hook);
+
  private:
-  struct TableState {
+  /// A directory that exists for the engine's lifetime: the given path, or
+  /// when that is empty a fresh private temporary directory, removed (with
+  /// its files) on destruction. path() is empty if none could be made.
+  class ScopedDataDir {
+   public:
+    explicit ScopedDataDir(const std::string& path);
+    ~ScopedDataDir();
+    ScopedDataDir(const ScopedDataDir&) = delete;
+    ScopedDataDir& operator=(const ScopedDataDir&) = delete;
+    const std::string& path() const { return path_; }
+
+   private:
+    std::string path_;
+    bool owned_ = false;
+  };
+
+  /// Per-table state. It is also the table's task on the SyncDaemon: a
+  /// background merge is the same SyncImcs a query or ForceSync runs.
+  struct TableState : public SyncTask {
+    explicit TableState(DiskHtapEngine* e) : engine(e) {}
+    Status SyncTo(CSN target_csn) override {
+      return engine->SyncImcs(this, target_csn, nullptr);
+    }
+    size_t PendingEntries() const override { return delta->EntryCount(); }
+
+    DiskHtapEngine* const engine;
     // htap-lint: guarded-by — set in CreateTable before the state is
     // published into tables_; immutable afterwards.
     TableInfo info;
@@ -261,6 +302,21 @@ class DiskHtapEngine : public HtapEngine, public ChangeSink {
     Mutex stats_mu{LockRank::kEngineTableStats, "disk-table-stats"};
     TableStats stats GUARDED_BY(stats_mu);
     uint64_t stats_at_csn GUARDED_BY(stats_mu) = 0;
+    // The merge counters Stats() reports; a leaf lock, so Stats() can read
+    // them under tables_mu_ while a merge holds merge_mu.
+    Mutex merge_stats_mu{LockRank::kLeaf, "disk-imcs-merge-stats"};
+    SyncStats merge_stats GUARDED_BY(merge_stats_mu);
+  };
+
+  /// An IMCS generation pinned for one scan. `synced_csn` is its
+  /// merged_csn when the sync returned: every change at or below it is in
+  /// the generation or still in the delta, so the scan reads the delta
+  /// there. Merges after the sync move the generation past it, never
+  /// behind, and drain only changes the generation then holds.
+  struct PinnedImcs {
+    std::shared_ptr<ColumnTable> imcs;
+    std::vector<int> loaded;  // base column indexes
+    CSN synced_csn = 0;
   };
 
   /// Column access resolved for one scan request: the access-path decision
@@ -271,8 +327,7 @@ class DiskHtapEngine : public HtapEngine, public ChangeSink {
     bool pk_point = false;
     Key pk_key = 0;
     bool imcs_ready = false;  // path == kColumnScan and capability held
-    std::shared_ptr<ColumnTable> imcs;
-    std::vector<int> loaded;
+    PinnedImcs gen;
     Predicate pred;           // remapped onto the IMCS layout
     std::vector<int> proj;    // remapped projection
   };
@@ -285,18 +340,21 @@ class DiskHtapEngine : public HtapEngine, public ChangeSink {
                                         ScanStats* stats,
                                         std::string* path_desc);
   /// The path decision + IMCS pinning.
-  Result<ImcsAccess> ResolveAccess(const ScanRequest& req, TableState* ts);
-  /// Drains the delta up to `target` into the current IMCS generation and
-  /// (optionally) returns the synced generation for the caller to scan.
-  Status SyncImcs(TableState* ts, CSN target,
-                  std::shared_ptr<ColumnTable>* imcs_out,
-                  std::vector<int>* loaded_out);
+  Result<ImcsAccess> ResolveAccess(const ScanRequest& req, TableState* ts,
+                                   const std::function<void(HookPoint)>& hook);
+  /// Drains the delta up to `target` into the current IMCS generation,
+  /// compacts it once merges have worn it (CompactIfWorn), and (optionally)
+  /// pins the synced generation for the caller to scan. The one merge
+  /// routine of (c): the daemon, the query-time sync and ForceSync all run
+  /// it.
+  Status SyncImcs(TableState* ts, CSN target, PinnedImcs* pinned);
   /// Refreshes the sampled row-store stats if stale (publishing to the
   /// catalog) and returns a copy.
   TableStats RefreshedStats(TableState* ts);
 
   const DatabaseOptions options_;
   Catalog* catalog_;
+  const ScopedDataDir data_dir_;  // outlives the WAL and heap files in it
   std::unique_ptr<WalWriter> wal_;
   // htap-lint: guarded-by — tables register only during engine init /
   // CreateTable (no concurrent phase); internals carry their own locks.
@@ -307,6 +365,8 @@ class DiskHtapEngine : public HtapEngine, public ChangeSink {
   // TableState pointers are stable (entries never erased); see (a).
   std::unordered_map<uint32_t, std::unique_ptr<TableState>> tables_
       GUARDED_BY(tables_mu_);
+  std::function<void(HookPoint)> test_hook_ GUARDED_BY(tables_mu_);
+  std::unique_ptr<SyncDaemon> daemon_;  // null unless background_sync
   mutable Mutex tables_mu_{LockRank::kEngineTables, "disk-tables"};
 };
 

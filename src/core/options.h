@@ -31,7 +31,9 @@ const char* ArchitectureName(ArchitectureKind k);
 struct DatabaseOptions {
   ArchitectureKind architecture = ArchitectureKind::kRowPlusInMemoryColumn;
 
-  /// Directory for WAL and heap files; empty = fully in-memory WAL.
+  /// Directory for WAL and heap files; empty = fully in-memory WAL, except
+  /// for (c), which then keeps its files in a private temporary directory
+  /// removed when the database closes.
   std::string data_dir;
   bool wal_enabled = true;
   bool sync_on_commit = false;  // fsync the WAL group at commit
@@ -69,6 +71,8 @@ struct DatabaseOptions {
   /// Delete drift tolerated by incremental statistics maintenance: once the
   /// sync driver has merged this many deletes since the last full pass, it
   /// compacts the column table and fully recomputes the table's statistics.
+  /// Architecture (c), which keeps no incremental statistics, compacts its
+  /// IMCS once its dead rows exceed both this and its live rows.
   size_t stats_compact_delete_threshold = 8192;
 
   /// Rows per ColumnBatch the scans emit (DESIGN.md §12; 0 = one batch per

@@ -101,7 +101,8 @@ class RowTxnLayer {
 };
 
 /// Background merge driver shared by the local engines: one thread syncing
-/// every registered synchronizer on interval/threshold triggers.
+/// every registered task on interval/threshold triggers — a
+/// DataSynchronizer for (a) and (d), an IMCS merge per table for (c).
 class SyncDaemon {
  public:
   SyncDaemon(TransactionManager* txn_mgr, Micros interval_micros,
@@ -112,7 +113,7 @@ class SyncDaemon {
 
   ~SyncDaemon() { Stop(); }
 
-  void AddTask(DataSynchronizer* sync) {
+  void AddTask(SyncTask* sync) {
     MutexLock lk(&tasks_mu_);
     tasks_.push_back(sync);
   }
@@ -135,7 +136,7 @@ class SyncDaemon {
   Status SyncAllNow() {
     const CSN target = txn_mgr_->LastCommittedCsn();
     MutexLock lk(&tasks_mu_);
-    for (DataSynchronizer* t : tasks_) HTAP_RETURN_NOT_OK(t->SyncTo(target));
+    for (SyncTask* t : tasks_) HTAP_RETURN_NOT_OK(t->SyncTo(target));
     return Status::OK();
   }
 
@@ -150,7 +151,7 @@ class SyncDaemon {
       bool threshold_hit = false;
       if (entry_threshold_ != 0) {
         MutexLock lk(&tasks_mu_);
-        for (DataSynchronizer* t : tasks_)
+        for (SyncTask* t : tasks_)
           threshold_hit |= t->PendingEntries() >= entry_threshold_;
       }
       if (slept >= interval_micros_ || threshold_hit) {
@@ -164,9 +165,10 @@ class SyncDaemon {
   const Micros interval_micros_;
   const size_t entry_threshold_;
   // Outermost lock in the system: held across SyncTo(), which reaches the
-  // sync, table-latch, delta, and catalog locks (DESIGN.md §11).
+  // merge (280 or 400), engine-table, table-latch, delta, and catalog locks
+  // (DESIGN.md §11).
   Mutex tasks_mu_{LockRank::kSyncDaemon, "sync-daemon-tasks"};
-  std::vector<DataSynchronizer*> tasks_ GUARDED_BY(tasks_mu_);
+  std::vector<SyncTask*> tasks_ GUARDED_BY(tasks_mu_);
   std::atomic<bool> stop_{false};
   // htap-lint: guarded-by — touched only from Start()/Stop()/dtor, which
   // the owning engine serializes; never from the daemon thread itself.

@@ -26,11 +26,13 @@ Status BufferPool::EvictIfNeeded() {
   return Status::OK();
 }
 
-Status BufferPool::Fetch(uint32_t page_id, std::string** out) {
+Status BufferPool::Fetch(uint32_t page_id, std::string** out,
+                         bool for_write) {
   const auto it = frames_.find(page_id);
   if (it != frames_.end()) {
     ++hits_;
     Touch(page_id, it->second);
+    it->second.dirty |= for_write;
     *out = &it->second.data;
     return Status::OK();
   }
@@ -41,6 +43,7 @@ Status BufferPool::Fetch(uint32_t page_id, std::string** out) {
   lru_.push_front(page_id);
   Frame f;
   f.data = std::move(data);
+  f.dirty = for_write;
   f.lru_it = lru_.begin();
   auto [ins_it, ok] = frames_.emplace(page_id, std::move(f));
   *out = &ins_it->second.data;
@@ -209,13 +212,13 @@ Status DiskRowStore::AppendRecord(bool tombstone, Key key, const Row& row) {
         pool_.PutDirty(tail_page_id_, std::string(kDiskPageSize, '\0')));
   }
 
+  // The record is written into the cached tail frame in place.
   std::string* page;
-  HTAP_RETURN_NOT_OK(pool_.Fetch(tail_page_id_, &page));
+  HTAP_RETURN_NOT_OK(pool_.Fetch(tail_page_id_, &page, /*for_write=*/true));
   std::memcpy(page->data() + tail_used_, &len, 4);
   std::memcpy(page->data() + tail_used_ + 4, body.data(), body.size());
   const RecordLoc loc{tail_page_id_, static_cast<uint32_t>(tail_used_)};
   tail_used_ += 4 + len;
-  HTAP_RETURN_NOT_OK(pool_.PutDirty(tail_page_id_, *page));
 
   if (tombstone)
     index_.erase(key);

@@ -53,7 +53,9 @@ class BufferPool {
 
   /// Returns the cached page, loading on a miss (may evict, writing back a
   /// dirty victim). Returned pointer is valid until the next pool call.
-  Status Fetch(uint32_t page_id, std::string** out);
+  /// With `for_write` the frame is marked dirty, so the caller may modify
+  /// the page in place until then.
+  Status Fetch(uint32_t page_id, std::string** out, bool for_write = false);
 
   /// Installs/overwrites a page image and marks it dirty.
   Status PutDirty(uint32_t page_id, std::string page);

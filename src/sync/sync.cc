@@ -135,6 +135,28 @@ void MergeChunksLocked(ColumnTable* table,
   }
 }
 
+size_t DrainAndMerge(ColumnTable* table, const DrainFn& drain, CSN up_to,
+                     SyncStageTimes* times, const MergedFn& merged) {
+  std::vector<DeltaChunk> chunks;
+  {
+    WriteGuard g(table->latch());
+    const double t = NowSeconds();
+    chunks = drain();
+    times->drain_seconds += NowSeconds() - t;
+    MergeChunksLocked(table, chunks, up_to, times);
+  }
+  size_t entries = 0;
+  for (const DeltaChunk& c : chunks) entries += c.size();
+  times->entries += entries;
+  const double t_stats = NowSeconds();
+  if (merged) merged(chunks);
+  const double t_release = NowSeconds();
+  times->stats_seconds += t_release - t_stats;
+  chunks = {};
+  times->release_seconds += NowSeconds() - t_release;
+  return entries;
+}
+
 void ApplyChunksToColumnTable(ColumnTable* table,
                               const std::vector<DeltaChunk>& chunks,
                               CSN up_to) {
@@ -196,37 +218,30 @@ Status DataSynchronizer::SyncTo(CSN target_csn) {
     // Drain and apply in one exclusive hold of the table latch (rank 500,
     // then the delta store's 550): a scan reads the delta and the main
     // under the shared latch, so it sees a drained entry in exactly one.
-    SyncStageTimes& times = stats_.stages;
-    std::vector<DeltaChunk> chunks;
-    {
-      WriteGuard g(table_->latch());
-      const double t = NowSeconds();
-      chunks = source_->DrainUpTo(target_csn);
-      times.drain_seconds += NowSeconds() - t;
-      if (drain_hook_for_test_) drain_hook_for_test_();
-      MergeChunksLocked(table_, chunks, target_csn, &times);
-    }
-    size_t entries = 0;
-    for (const DeltaChunk& c : chunks) entries += c.size();
-    stats_.entries_merged += entries;
-    times.entries += entries;
-    const double t_stats = NowSeconds();
-    if (stats_builder_ != nullptr) {
-      stats_builder_->ApplyChunks(chunks);
-      if (stats_builder_->deletes_since_recompute() >
-          compact_delete_threshold_) {
-        // Delete drift: the sketches only widen, so compact away the dead
-        // rows and recompute from what actually survives.
-        table_->Compact();
-        stats_builder_->RecomputeFromColumnTable(*table_);
-      }
-      publish_stats_(stats_builder_->Snapshot(table_->live_rows()),
-                     target_csn);
-    }
-    const double t_release = NowSeconds();
-    times.stats_seconds += t_release - t_stats;
-    chunks = {};
-    times.release_seconds += NowSeconds() - t_release;
+    // The lambdas see mu_'s members through locals read under mu_.
+    const std::function<void()>& drain_hook = drain_hook_for_test_;
+    TableStatsBuilder* const builder = stats_builder_.get();
+    const StatsPublishFn& publish = publish_stats_;
+    const size_t compact_threshold = compact_delete_threshold_;
+    stats_.entries_merged += DrainAndMerge(
+        table_,
+        [&] {
+          std::vector<DeltaChunk> chunks = source_->DrainUpTo(target_csn);
+          if (drain_hook) drain_hook();
+          return chunks;
+        },
+        target_csn, &stats_.stages,
+        [&](const std::vector<DeltaChunk>& chunks) {
+          if (builder == nullptr) return;
+          builder->ApplyChunks(chunks);
+          if (builder->deletes_since_recompute() > compact_threshold) {
+            // Delete drift: the sketches only widen, so compact away the
+            // dead rows and recompute from what actually survives.
+            table_->Compact();
+            builder->RecomputeFromColumnTable(*table_);
+          }
+          publish(builder->Snapshot(table_->live_rows()), target_csn);
+        });
   }
 
   const Micros dt = clock_->NowMicros() - t0;
@@ -234,45 +249,6 @@ Status DataSynchronizer::SyncTo(CSN target_csn) {
   stats_.last_merge_micros = static_cast<uint64_t>(dt);
   stats_.merge_micros_total += static_cast<uint64_t>(dt);
   return Status::OK();
-}
-
-BackgroundSyncer::BackgroundSyncer(DataSynchronizer* sync,
-                                   TransactionManager* txn_mgr,
-                                   Micros interval_micros,
-                                   size_t entry_threshold)
-    : sync_(sync),
-      txn_mgr_(txn_mgr),
-      interval_micros_(interval_micros),
-      entry_threshold_(entry_threshold),
-      thread_([this] { Loop(); }) {}
-
-BackgroundSyncer::~BackgroundSyncer() { Stop(); }
-
-void BackgroundSyncer::Stop() {
-  // order: release pairs with Loop()'s acquire poll; join() below is the
-  // real synchronization, release just keeps the flag conventional.
-  stop_.store(true, std::memory_order_release);
-  if (thread_.joinable()) thread_.join();
-}
-
-Status BackgroundSyncer::ForceSync() {
-  return sync_->SyncTo(txn_mgr_->LastCommittedCsn());
-}
-
-void BackgroundSyncer::Loop() {
-  Micros slept = 0;
-  const Micros tick = 1000;  // re-check stop and threshold every 1ms
-  // order: acquire pairs with Stop()'s release store of the flag.
-  while (!stop_.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::microseconds(tick));
-    slept += tick;
-    const bool threshold_hit =
-        entry_threshold_ != 0 && sync_->PendingEntries() >= entry_threshold_;
-    if (slept >= interval_micros_ || threshold_hit) {
-      sync_->SyncTo(txn_mgr_->LastCommittedCsn());
-      slept = 0;
-    }
-  }
 }
 
 }  // namespace htap

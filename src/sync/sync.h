@@ -14,11 +14,9 @@
 #ifndef HTAP_SYNC_SYNC_H_
 #define HTAP_SYNC_SYNC_H_
 
-#include <atomic>
 #include <deque>
 #include <functional>
 #include <memory>
-#include <thread>
 
 #include "columnar/column_table.h"
 #include "common/clock.h"
@@ -88,7 +86,7 @@ struct SyncStageTimes {
   double drain_seconds = 0;    // delta chunks moved out of the store
   double fold_seconds = 0;     // last upsert per key, by position
   double build_seconds = 0;    // typed gather + segment encode + apply
-  double stats_seconds = 0;    // TableStatsBuilder and its compaction
+  double stats_seconds = 0;    // stats upkeep and compaction
   double release_seconds = 0;  // freeing the drained chunks
 
   double total_seconds() const {
@@ -123,8 +121,17 @@ enum class SyncStrategy : uint8_t {
 
 const char* SyncStrategyName(SyncStrategy s);
 
+/// One table's change propagation as the background SyncDaemon drives it:
+/// merge everything staged up to a CSN, and report how much is staged.
+class SyncTask {
+ public:
+  virtual ~SyncTask() = default;
+  virtual Status SyncTo(CSN target_csn) = 0;
+  virtual size_t PendingEntries() const = 0;
+};
+
 /// Drives one table's column store to a target CSN using one strategy.
-class DataSynchronizer {
+class DataSynchronizer : public SyncTask {
  public:
   /// In-memory / log merge: `source` supplies drained delta entries.
   DataSynchronizer(SyncStrategy strategy, ColumnTable* table,
@@ -140,7 +147,7 @@ class DataSynchronizer {
   /// Brings the column store up to `target_csn`. For merge strategies this
   /// drains and applies staged entries; for rebuild it reloads everything
   /// from the primary store at a snapshot.
-  Status SyncTo(CSN target_csn);
+  Status SyncTo(CSN target_csn) override;
 
   /// Snapshot of the merge statistics, copied out under the merge mutex —
   /// a background merge may be mutating them concurrently.
@@ -148,7 +155,7 @@ class DataSynchronizer {
     MutexLock lk(&mu_);
     return stats_;
   }
-  size_t PendingEntries() const {
+  size_t PendingEntries() const override {
     return source_ != nullptr ? source_->PendingEntries() : 0;
   }
 
@@ -195,35 +202,24 @@ void MergeChunksLocked(ColumnTable* table,
                        const std::vector<DeltaChunk>& chunks, CSN up_to,
                        SyncStageTimes* times = nullptr);
 
+/// One merge of staged changes, the step every merging synchronizer shares
+/// (DataSynchronizer, architecture (c)'s IMCS merge): under one hold of the
+/// table's write latch, `drain` moves out the chunks up to `up_to`, already
+/// in the table's column layout, and MergeChunksLocked applies them; after
+/// the latch, `merged` (optional) sees the chunks (stats upkeep,
+/// compaction) and then they are freed. Adds every stage's seconds and the
+/// entry count to `times`; returns the entry count.
+using DrainFn = std::function<std::vector<DeltaChunk>()>;
+using MergedFn = std::function<void(const std::vector<DeltaChunk>&)>;
+size_t DrainAndMerge(ColumnTable* table, const DrainFn& drain, CSN up_to,
+                     SyncStageTimes* times, const MergedFn& merged = nullptr);
+
 /// MergeChunksLocked in one hold of the table's write latch. Used where the
-/// chunks were drained before (learner replica apply loop);
-/// DataSynchronizer drains under the latch itself.
+/// chunks were drained before (learner replica apply loop); the
+/// synchronizers drain under the latch through DrainAndMerge.
 void ApplyChunksToColumnTable(ColumnTable* table,
                               const std::vector<DeltaChunk>& chunks,
                               CSN up_to);
-
-/// Periodic background sync driver: wakes every `interval`, syncs to the
-/// latest committed CSN when the staged-entry threshold or interval hits.
-class BackgroundSyncer {
- public:
-  BackgroundSyncer(DataSynchronizer* sync, TransactionManager* txn_mgr,
-                   Micros interval_micros, size_t entry_threshold);
-  ~BackgroundSyncer();
-
-  void Stop();
-  /// Synchronously forces a merge to "now".
-  Status ForceSync();
-
- private:
-  void Loop();
-
-  DataSynchronizer* const sync_;
-  TransactionManager* const txn_mgr_;
-  const Micros interval_micros_;
-  const size_t entry_threshold_;
-  std::atomic<bool> stop_{false};
-  std::thread thread_;
-};
 
 }  // namespace htap
 

@@ -241,6 +241,44 @@ TEST(ColumnTableTest, CompactDropsDeletedRows) {
   EXPECT_FALSE(t.FindKey(2, &gi, &off));
 }
 
+TEST(ColumnTableTest, CompactSmallTailKeepsEarlierGroupsAndTheKeyIndex) {
+  ColumnTable t(TableSchema());
+  auto batch = [](Key first, int n, int64_t v) {
+    std::vector<Row> rows;
+    for (int i = 0; i < n; ++i) rows.push_back(TRow(first + i, v));
+    return rows;
+  };
+  t.AppendBatch(batch(0, 100, 0), 1);    // group 0: large
+  t.AppendBatch(batch(100, 3, 1), 2);    // group 1: small, before a large
+  t.AppendBatch(batch(200, 100, 2), 3);  // group 2: large
+  t.AppendBatch(batch(300, 3, 3), 4);    // groups 3-5: the small tail
+  t.AppendBatch(batch(303, 3, 3), 5);
+  t.AppendBatch({TRow(5, 7), TRow(250, 8)}, 6);  // updates keys 5 and 250
+  t.DeleteKey(301, 7);
+  const RowGroup* const kept[] = {t.group(0), t.group(1), t.group(2)};
+
+  EXPECT_FALSE(t.CompactSmallTail(50, 3));  // a run of 3: not longer
+  EXPECT_TRUE(t.CompactSmallTail(50, 2));
+  ASSERT_EQ(t.num_groups(), 4u);
+  for (size_t i = 0; i < 3; ++i) EXPECT_EQ(t.group(i), kept[i]);
+  EXPECT_EQ(t.group(3)->num_rows, 7u);  // 300, 302..305, 5 and 250
+  EXPECT_EQ(t.live_rows(), 208u);
+  EXPECT_EQ(t.dead_rows(), 2u);  // the old versions of keys 5 and 250
+
+  size_t gi, off;
+  ASSERT_TRUE(t.FindKey(250, &gi, &off));
+  EXPECT_EQ(gi, 3u);
+  EXPECT_EQ(t.MaterializeRow(*t.group(gi), off), TRow(250, 8));
+  ASSERT_TRUE(t.FindKey(102, &gi, &off));
+  EXPECT_EQ(gi, 1u);
+  EXPECT_FALSE(t.FindKey(301, &gi, &off));
+  // Later upserts and deletes find the rewritten positions.
+  t.AppendBatch({TRow(5, 9), TRow(304, 9)}, 8);
+  EXPECT_TRUE(t.DeleteKey(250, 9));
+  EXPECT_EQ(t.live_rows(), 207u);
+  EXPECT_EQ(t.dead_rows(), 5u);
+}
+
 TEST(ColumnTableTest, ClearResetsEverything) {
   ColumnTable t(TableSchema());
   t.AppendBatch({TRow(1, 1)}, 9);

@@ -125,6 +125,30 @@ TEST_F(DiskRowStoreTest, BufferPoolEvictsUnderPressure) {
   EXPECT_GT(store.pool_stats().hits, hits_before);
 }
 
+TEST_F(DiskRowStoreTest, InPlaceTailWritesSurviveEvictionAndReopen) {
+  {
+    // One frame: every read of an older page evicts the dirty tail, and the
+    // next append writes into the tail reloaded from the file.
+    DiskRowStore store(path_, TestSchema(), 1);
+    ASSERT_TRUE(store.Open().ok());
+    Row out;
+    for (Key k = 0; k < 400; ++k) {
+      ASSERT_TRUE(store.Put(MakeRow(k, k, std::string(100, 'z'))).ok());
+      ASSERT_TRUE(store.Get(k / 2, &out).ok());
+      EXPECT_EQ(out.Get(1).AsInt64(), k / 2);
+    }
+    EXPECT_GT(store.pool_stats().evictions, 0u);
+  }  // the destructor flushes the last dirty frame
+  DiskRowStore reopened(path_, TestSchema(), 4);
+  ASSERT_TRUE(reopened.Open().ok());
+  EXPECT_EQ(reopened.live_keys(), 400u);
+  Row out;
+  for (Key k = 0; k < 400; ++k) {
+    ASSERT_TRUE(reopened.Get(k, &out).ok()) << k;
+    EXPECT_EQ(out.Get(1).AsInt64(), k);
+  }
+}
+
 TEST_F(DiskRowStoreTest, RejectsOversizedRow) {
   DiskRowStore store(path_, TestSchema(), 4);
   ASSERT_TRUE(store.Open().ok());
