@@ -11,14 +11,16 @@
 #   rank   — -DHTAP_LOCK_RANK=ON: full ctest under the runtime lock-order
 #            checker, including the lock_rank death tests
 #   asan   — ASan+UBSan over the memory-heavy executor/aggregate/join/spill
-#            tests and the reference executor's plan matrix,
+#            tests and the reference executor's plan matrix, the MVCC row
+#            store and the packed row-image codec (mvcc_test, types_test),
 #            the sync/delta tests (the scan's delta overlay, the merge's
 #            drain/apply and its typed gather), the typed stats path in
 #            optimizer_test, and the EBR/OLC concurrency tests
 #   tsan   — TSan over the concurrency tests (zero suppressions), including
 #            delta_test's chunk append racing scan and drain and
 #            disk_engine_test's (c) merge daemon racing commits, IMCS
-#            rebuilds and scans
+#            rebuilds and scans, and mvcc_test's readers racing writers on
+#            packed version images
 #   static — clang thread-safety build (-DHTAP_THREAD_SAFETY=ON, -Werror)
 #            — skipped with a notice when clang++ is not installed
 #   tidy   — clang-tidy over every first-party TU — skipped with a notice
@@ -157,7 +159,8 @@ suite_asan() {
                     optimizer_test
                     thread_safety_regression_test
                     ebr_test tp_scaling_test
-                    sim_test raft_test dist_db_test)
+                    sim_test raft_test dist_db_test
+                    mvcc_test types_test)
   cmake -B build-asan -S . -DHTAP_ASAN=ON > /dev/null
   cmake --build build-asan -j "$JOBS" --target "${ASAN_TESTS[@]}"
   for t in "${ASAN_TESTS[@]}"; do
@@ -174,7 +177,7 @@ suite_tsan() {
                     reference_executor_test
                     thread_safety_regression_test disk_engine_test
                     ebr_test tp_scaling_test
-                    sim_test raft_test dist_db_test)
+                    sim_test raft_test dist_db_test mvcc_test)
   cmake -B build-tsan -S . -DHTAP_TSAN=ON > /dev/null
   cmake --build build-tsan -j "$JOBS" --target "${TSAN_TESTS[@]}"
   for t in "${TSAN_TESTS[@]}"; do

@@ -950,8 +950,8 @@ std::vector<size_t> EstimateBatchRowBytes(
   out.reserve(TotalActiveRows(batches));
   for (const ColumnBatch& b : batches) {
     b.ForEachActive([&](size_t i) {
-      // Mirrors Row::MemoryBytes for the materialized image of this row:
-      // the Row shell, one Value per column, and string heap payloads.
+      // The materialized image of this row: the Row shell, one Value per
+      // column, and string heap payloads.
       size_t bytes = sizeof(Row) + b.columns.size() * sizeof(Value);
       for (const ColumnVector& cv : b.columns)
         if (cv.type() == Type::kString && !cv.IsNull(i))

@@ -245,9 +245,9 @@ JoinPairs HashJoinPairsKeys(const JoinKeyColumn& probe,
                             const std::vector<size_t>* build_weights = nullptr);
 
 /// Per-active-row footprint estimates for batch join inputs, one entry per
-/// dense active position in batch order: the materialized row's size by the
-/// Row::MemoryBytes formula (Row shell, one Value per column, string heap
-/// payloads) — the quantity grace budgets are compared against.
+/// dense active position in batch order: the materialized row's size (Row
+/// shell, one Value per column, string heap payloads) — the quantity grace
+/// budgets are compared against.
 std::vector<size_t> EstimateBatchRowBytes(
     const std::vector<ColumnBatch>& batches);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <new>
 
 #include "txn/txn_manager.h"
 
@@ -12,6 +13,7 @@ MvccRowStore::MvccRowStore(uint32_t table_id, Schema schema,
                            TransactionManager* txn_mgr, WalWriter* wal)
     : table_id_(table_id),
       schema_(std::move(schema)),
+      layout_(schema_),
       txn_mgr_(txn_mgr),
       wal_(wal) {}
 
@@ -21,11 +23,41 @@ MvccRowStore::~MvccRowStore() {
       RowVersion* v = chain->latest;
       while (v != nullptr) {
         RowVersion* older = v->older;
-        delete v;
+        FreeVersion(v);
         v = older;
       }
     }
   }
+}
+
+RowVersion* MvccRowStore::NewVersion(const Row& row, size_t image_bytes,
+                                     uint64_t begin, RowVersion* older) {
+  const size_t bytes = sizeof(RowVersion) + image_bytes;
+  auto* v = new (::operator new(bytes)) RowVersion();
+  layout_.Encode(row, v->image());
+  v->older = older;
+  // order: release so a latch-free stamp reader that acquires this stamp
+  // also sees the version's image and links written above.
+  v->begin.store(begin, std::memory_order_release);
+  versions_.fetch_add(1, std::memory_order_relaxed);
+  mem_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  return v;
+}
+
+void MvccRowStore::FreeVersion(RowVersion* v) {
+  const size_t bytes = sizeof(RowVersion) + layout_.ImageSize(v->image());
+  versions_.fetch_sub(1, std::memory_order_relaxed);
+  mem_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
+  v->~RowVersion();
+  ::operator delete(v, bytes);
+}
+
+Status MvccRowStore::SizeImage(const Row& row, size_t* image_bytes) const {
+  HTAP_RETURN_NOT_OK(CheckRow(schema_, row));
+  *image_bytes = layout_.EncodedSize(row);
+  if (*image_bytes > RowImageLayout::kMaxImageBytes)
+    return Status::InvalidArgument("row image over 4 GiB");
+  return Status::OK();
 }
 
 VersionChain* MvccRowStore::GetOrCreateChain(Key key) {
@@ -42,7 +74,7 @@ VersionChain* MvccRowStore::GetOrCreateChain(Key key) {
   s.chains.push_back(std::unique_ptr<VersionChain>(new VersionChain{key}));
   VersionChain* chain = s.chains.back().get();
   index_.Insert(key, reinterpret_cast<uint64_t>(chain));
-  mem_bytes_.fetch_add(sizeof(VersionChain) + 24, std::memory_order_relaxed);
+  mem_bytes_.fetch_add(sizeof(VersionChain), std::memory_order_relaxed);
   return chain;
 }
 
@@ -57,7 +89,7 @@ bool MvccRowStore::Visible(const RowVersion* v, const Snapshot& snap) const {
   while (true) {
     // order: acquire pairs with the release stores that stamp begin (writer
     // publish in Insert/Update, CSN re-stamp in TransactionManager::Commit)
-    // so the version's data/older fields written before the stamp are
+    // so the version's image/older fields written before the stamp are
     // visible.
     const uint64_t raw_b = v->begin.load(std::memory_order_acquire);
     if (IsTxnId(raw_b)) {
@@ -104,7 +136,8 @@ void MvccRowStore::LogDml(Transaction* txn, WalRecordType type, Key key,
 }
 
 Status MvccRowStore::Insert(Transaction* txn, const Row& row) {
-  HTAP_RETURN_NOT_OK(CheckRow(schema_, row));
+  size_t image_bytes = 0;
+  HTAP_RETURN_NOT_OK(SizeImage(row, &image_bytes));
   const Key key = row.GetKey(schema_);
   VersionChain* chain = GetOrCreateChain(key);
   SpinGuard g(chain->latch);
@@ -134,12 +167,7 @@ Status MvccRowStore::Insert(Transaction* txn, const Row& row) {
     }
   }
 
-  auto* v = new RowVersion();
-  // order: release so a latch-free reader that acquires this stamp also
-  // sees the version's construction (Visible() reads data through it).
-  v->begin.store(txn->id(), std::memory_order_release);
-  v->data = row;
-  v->older = latest;
+  RowVersion* v = NewVersion(row, image_bytes, txn->id(), latest);
   chain->latest = v;
 
   txn->undo().push_back(
@@ -147,14 +175,12 @@ Status MvccRowStore::Insert(Transaction* txn, const Row& row) {
   txn->changes().push_back(
       ChangeEvent{table_id_, ChangeOp::kInsert, key, row, 0});
   LogDml(txn, WalRecordType::kInsert, key, row);
-  versions_.fetch_add(1, std::memory_order_relaxed);
-  mem_bytes_.fetch_add(sizeof(RowVersion) + row.MemoryBytes(),
-                       std::memory_order_relaxed);
   return Status::OK();
 }
 
 Status MvccRowStore::Update(Transaction* txn, const Row& row) {
-  HTAP_RETURN_NOT_OK(CheckRow(schema_, row));
+  size_t image_bytes = 0;
+  HTAP_RETURN_NOT_OK(SizeImage(row, &image_bytes));
   const Key key = row.GetKey(schema_);
   VersionChain* chain = FindChain(key);
   if (chain == nullptr) return Status::NotFound("no such key");
@@ -184,13 +210,22 @@ Status MvccRowStore::Update(Transaction* txn, const Row& row) {
       txn_mgr_->RecordConflict();
       return Status::Conflict("uncommitted insert by another txn");
     }
-    // Updating our own uncommitted version: mutate in place.
-    mem_bytes_.fetch_add(row.MemoryBytes(), std::memory_order_relaxed);
-    mem_bytes_.fetch_sub(
-        std::min(mem_bytes_.load(std::memory_order_relaxed),
-                 latest->data.MemoryBytes()),
-        std::memory_order_relaxed);
-    latest->data = row;
+    // Updating our own uncommitted version. Readers reach a version only
+    // under this chain latch, so an image of the same size is rewritten in
+    // place; otherwise a new allocation takes the old one's place in the
+    // chain and in the undo entry that created it.
+    if (image_bytes == layout_.ImageSize(latest->image())) {
+      layout_.Encode(row, latest->image());
+    } else {
+      RowVersion* v = NewVersion(row, image_bytes, raw_b, latest->older);
+      chain->latest = v;
+      const auto undo = std::find_if(
+          txn->undo().rbegin(), txn->undo().rend(),
+          [&](const UndoEntry& u) { return u.new_version == latest; });
+      assert(undo != txn->undo().rend());
+      undo->new_version = v;
+      FreeVersion(latest);
+    }
     txn->changes().push_back(
         ChangeEvent{table_id_, ChangeOp::kUpdate, key, row, 0});
     LogDml(txn, WalRecordType::kUpdate, key, row);
@@ -201,14 +236,9 @@ Status MvccRowStore::Update(Transaction* txn, const Row& row) {
     return Status::Conflict("row written after snapshot");
   }
 
-  auto* v = new RowVersion();
-  // order: release publishes the new version's construction to latch-free
-  // stamp readers (same edge as the Insert path).
-  v->begin.store(txn->id(), std::memory_order_release);
-  v->data = row;
-  v->older = latest;
+  RowVersion* v = NewVersion(row, image_bytes, txn->id(), latest);
   // order: release so the end claim is never reordered before the new
-  // version's publication above.
+  // version's publication in NewVersion.
   latest->end.store(txn->id(), std::memory_order_release);
   chain->latest = v;
 
@@ -217,9 +247,6 @@ Status MvccRowStore::Update(Transaction* txn, const Row& row) {
   txn->changes().push_back(
       ChangeEvent{table_id_, ChangeOp::kUpdate, key, row, 0});
   LogDml(txn, WalRecordType::kUpdate, key, row);
-  versions_.fetch_add(1, std::memory_order_relaxed);
-  mem_bytes_.fetch_add(sizeof(RowVersion) + row.MemoryBytes(),
-                       std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -273,7 +300,7 @@ Status MvccRowStore::Get(const Snapshot& snap, Key key, Row* out) const {
   SpinGuard g(chain->latch);
   for (const RowVersion* v = chain->latest; v != nullptr; v = v->older) {
     if (Visible(v, snap)) {
-      *out = v->data;
+      layout_.Decode(v->image(), out);
       return Status::OK();
     }
   }
@@ -290,11 +317,15 @@ void MvccRowStore::Scan(
 void MvccRowStore::ScanRange(
     const Snapshot& snap, Key lo, Key hi,
     const std::function<bool(Key, const Row&)>& visit) const {
+  Row scratch;  // each visible row is decoded into it, its cells reused
   index_.Scan(lo, hi, [&](Key key, uint64_t payload) {
     auto* chain = reinterpret_cast<VersionChain*>(payload);
     SpinGuard g(chain->latch);
     for (const RowVersion* v = chain->latest; v != nullptr; v = v->older) {
-      if (Visible(v, snap)) return visit(key, v->data);
+      if (Visible(v, snap)) {
+        layout_.Decode(v->image(), &scratch);
+        return visit(key, scratch);
+      }
     }
     return true;  // no visible version for this key; keep scanning
   });
@@ -329,20 +360,20 @@ std::vector<std::pair<Key, Key>> MvccRowStore::SplitKeyRanges(size_t n) const {
   return ranges;
 }
 
-void MvccRowStore::ApplyCommitted(ChangeOp op, Key key, const Row& row,
-                                  CSN csn) {
+Status MvccRowStore::ApplyCommitted(ChangeOp op, Key key, const Row& row,
+                                    CSN csn) {
+  size_t image_bytes = 0;
+  if (op != ChangeOp::kDelete)
+    HTAP_RETURN_NOT_OK(SizeImage(row, &image_bytes));
   VersionChain* chain = GetOrCreateChain(key);
   SpinGuard g(chain->latch);
   switch (op) {
     case ChangeOp::kInsert:
     case ChangeOp::kUpdate: {
-      auto* v = new RowVersion();
+      RowVersion* v = NewVersion(row, image_bytes, csn, chain->latest);
       // order: release/acquire — same begin/end publication edges as the
       // transactional DML paths; concurrent snapshot readers resolve these
       // stamps latch-free in Visible().
-      v->begin.store(csn, std::memory_order_release);
-      v->data = row;
-      v->older = chain->latest;
       if (chain->latest != nullptr &&
           chain->latest->end.load(std::memory_order_acquire) ==  // order: ^
               kMaxCSN) {
@@ -351,9 +382,6 @@ void MvccRowStore::ApplyCommitted(ChangeOp op, Key key, const Row& row,
         live_rows_.fetch_add(1, std::memory_order_relaxed);
       }
       chain->latest = v;
-      versions_.fetch_add(1, std::memory_order_relaxed);
-      mem_bytes_.fetch_add(sizeof(RowVersion) + row.MemoryBytes(),
-                           std::memory_order_relaxed);
       break;
     }
     case ChangeOp::kDelete: {
@@ -366,6 +394,7 @@ void MvccRowStore::ApplyCommitted(ChangeOp op, Key key, const Row& row,
       break;
     }
   }
+  return Status::OK();
 }
 
 void MvccRowStore::AccountCommittedEntry(const UndoEntry& u) {
@@ -387,12 +416,7 @@ void MvccRowStore::RollbackEntry(const UndoEntry& u) {
     case UndoEntry::Kind::kInsert: {
       assert(u.chain->latest == u.new_version);
       u.chain->latest = u.new_version->older;
-      mem_bytes_.fetch_sub(
-          std::min(mem_bytes_.load(std::memory_order_relaxed),
-                   sizeof(RowVersion) + u.new_version->data.MemoryBytes()),
-          std::memory_order_relaxed);
-      delete u.new_version;
-      versions_.fetch_sub(1, std::memory_order_relaxed);
+      FreeVersion(u.new_version);
       break;
     }
     case UndoEntry::Kind::kUpdate: {
@@ -401,12 +425,7 @@ void MvccRowStore::RollbackEntry(const UndoEntry& u) {
       // order: release — resurrecting the old version is a publication a
       // latch-free stamp reader may consume with its acquire load.
       u.old_version->end.store(kMaxCSN, std::memory_order_release);
-      mem_bytes_.fetch_sub(
-          std::min(mem_bytes_.load(std::memory_order_relaxed),
-                   sizeof(RowVersion) + u.new_version->data.MemoryBytes()),
-          std::memory_order_relaxed);
-      delete u.new_version;
-      versions_.fetch_sub(1, std::memory_order_relaxed);
+      FreeVersion(u.new_version);
       break;
     }
     case UndoEntry::Kind::kDelete: {
@@ -431,19 +450,14 @@ size_t MvccRowStore::Vacuum(CSN watermark) {
       RowVersion* v = keep->older;
       while (v != nullptr) {
         // order: acquire pairs with the commit-time release re-stamp so a
-        // freshly retired CSN is read consistently with the version data.
+        // freshly retired CSN is read consistently with the version image.
         const uint64_t raw_e = v->end.load(std::memory_order_acquire);
         if (!IsTxnId(raw_e) && raw_e != kMaxCSN && raw_e <= watermark) {
           // This and everything older is dead.
           keep->older = nullptr;
           while (v != nullptr) {
             RowVersion* older = v->older;
-            mem_bytes_.fetch_sub(
-                std::min(mem_bytes_.load(std::memory_order_relaxed),
-                         sizeof(RowVersion) + v->data.MemoryBytes()),
-                std::memory_order_relaxed);
-            delete v;
-            versions_.fetch_sub(1, std::memory_order_relaxed);
+            FreeVersion(v);
             ++reclaimed;
             v = older;
           }

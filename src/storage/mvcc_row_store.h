@@ -1,11 +1,15 @@
 // In-memory MVCC row store (Hekaton-style) — the primary store for
-// architecture (a), the per-shard store for architecture (b), and the delta
-// row store for architecture (d).
+// architecture (a), the MVCC layer over (c)'s disk heap, and the delta row
+// store for architecture (d).
 //
 // Each key owns a version chain (newest first). Version begin/end fields
 // hold a CSN or, while the writing transaction is in flight, its txn id
 // (see txn/types.h). Conflict rule: first-updater-wins — touching a version
 // whose end is already claimed aborts the later writer.
+//
+// A version is one allocation: its stamps, then the row's packed image
+// (types/row_image.h). Rows are built only at the API edge — reads decode
+// into the caller's Row, writes encode once after CheckRow.
 
 #ifndef HTAP_STORAGE_MVCC_ROW_STORE_H_
 #define HTAP_STORAGE_MVCC_ROW_STORE_H_
@@ -26,6 +30,7 @@
 #include "txn/transaction.h"
 #include "txn/types.h"
 #include "types/row.h"
+#include "types/row_image.h"
 #include "types/schema.h"
 #include "wal/wal.h"
 
@@ -33,12 +38,18 @@ namespace htap {
 
 class TransactionManager;
 
-/// One version of a row. begin/end encode lifetime per txn/types.h.
+/// One version of a row: a header, then the row's packed image in the same
+/// allocation of sizeof(RowVersion) + image bytes. begin/end encode
+/// lifetime per txn/types.h.
 struct RowVersion {
   std::atomic<uint64_t> begin{0};
   std::atomic<uint64_t> end{kMaxCSN};
-  Row data;
   RowVersion* older = nullptr;
+
+  uint8_t* image() { return reinterpret_cast<uint8_t*>(this + 1); }
+  const uint8_t* image() const {
+    return reinterpret_cast<const uint8_t*>(this + 1);
+  }
 };
 
 /// Per-key chain of versions, newest first.
@@ -79,7 +90,9 @@ class MvccRowStore {
   /// Point read at a snapshot.
   Status Get(const Snapshot& snap, Key key, Row* out) const;
 
-  /// Full scan at a snapshot, in key order. Return false to stop.
+  /// Full scan at a snapshot, in key order. Return false to stop. The Row
+  /// passed to `visit` is scratch the scan decodes each row into: valid
+  /// only for the call.
   void Scan(const Snapshot& snap,
             const std::function<bool(Key, const Row&)>& visit) const;
 
@@ -97,8 +110,9 @@ class MvccRowStore {
   // ---- Non-transactional apply (recovery, replica catch-up) -------------
 
   /// Applies an already-committed change at the given CSN, bypassing
-  /// concurrency control.
-  void ApplyCommitted(ChangeOp op, Key key, const Row& row, CSN csn);
+  /// concurrency control. InvalidArgument if an inserted or updated row
+  /// does not fit the schema.
+  Status ApplyCommitted(ChangeOp op, Key key, const Row& row, CSN csn);
 
   // ---- Maintenance -------------------------------------------------------
 
@@ -114,6 +128,8 @@ class MvccRowStore {
   size_t VersionCount() const {
     return versions_.load(std::memory_order_relaxed);
   }
+  /// Bytes allocated for version chains and versions (headers and
+  /// images); exact when quiesced. The key index is not counted.
   size_t MemoryBytes() const {
     return mem_bytes_.load(std::memory_order_relaxed);
   }
@@ -136,8 +152,19 @@ class MvccRowStore {
 
   void LogDml(Transaction* txn, WalRecordType type, Key key, const Row& row);
 
+  /// CheckRow, then the size of the row's image; InvalidArgument for an
+  /// image past RowImageLayout::kMaxImageBytes.
+  Status SizeImage(const Row& row, size_t* image_bytes) const;
+  /// Allocates a version holding the image of `row` (`image_bytes` long, as
+  /// SizeImage measured it) and counts it.
+  RowVersion* NewVersion(const Row& row, size_t image_bytes, uint64_t begin,
+                         RowVersion* older);
+  /// Uncounts and frees a version no reader can reach any more.
+  void FreeVersion(RowVersion* v);
+
   const uint32_t table_id_;
   const Schema schema_;
+  const RowImageLayout layout_;
   TransactionManager* const txn_mgr_;
   WalWriter* const wal_;
 

@@ -72,13 +72,6 @@ class Row {
     return true;
   }
 
-  size_t MemoryBytes() const {
-    size_t b = sizeof(Row) + values_.capacity() * sizeof(Value);
-    for (const auto& v : values_)
-      if (v.is_string()) b += v.AsString().capacity();
-    return b;
-  }
-
  private:
   std::vector<Value> values_;
 };

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <variant>
 
 namespace htap {
@@ -77,9 +78,13 @@ class Value {
   /// malformed input.
   static bool DecodeFrom(const std::string& in, size_t* pos, Value* out);
 
-  /// Approximate heap footprint in bytes (for memory accounting).
-  size_t MemoryBytes() const {
-    return sizeof(Value) + (is_string() ? AsString().capacity() : 0);
+  /// Sets this value to the string `s`, reusing the buffer when it already
+  /// holds a string.
+  void AssignString(std::string_view s) {
+    if (auto* str = std::get_if<std::string>(&v_))
+      str->assign(s);
+    else
+      v_.emplace<std::string>(s);
   }
 
  private:

@@ -1,12 +1,15 @@
 // MVCC row store + transaction manager tests: snapshot isolation
 // semantics, write-write conflicts (first-updater-wins), aborts, own-write
-// visibility, change publication, vacuum, recovery apply, and a randomized
-// snapshot-consistency property test.
+// visibility, change publication, vacuum, recovery apply, packed-image
+// self-updates and exact memory accounting, concurrent readers against
+// writers, and a randomized snapshot-consistency property test.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <thread>
+#include <utility>
 
 #include "common/random.h"
 #include "storage/mvcc_row_store.h"
@@ -287,9 +290,16 @@ TEST_F(MvccTest, VacuumPreservesVersionsVisibleToActiveTxns) {
 
 TEST_F(MvccTest, ApplyCommittedMatchesTransactionalPath) {
   MvccRowStore replica(1, TestSchema(), &mgr_, nullptr);
-  replica.ApplyCommitted(ChangeOp::kInsert, 1, MakeRow(1, 10), 5);
-  replica.ApplyCommitted(ChangeOp::kUpdate, 1, MakeRow(1, 20), 6);
-  replica.ApplyCommitted(ChangeOp::kDelete, 2, Row{}, 7);
+  ASSERT_TRUE(
+      replica.ApplyCommitted(ChangeOp::kInsert, 1, MakeRow(1, 10), 5).ok());
+  ASSERT_TRUE(
+      replica.ApplyCommitted(ChangeOp::kUpdate, 1, MakeRow(1, 20), 6).ok());
+  ASSERT_TRUE(replica.ApplyCommitted(ChangeOp::kDelete, 2, Row{}, 7).ok());
+  // A row that does not fit the schema is refused, not stored.
+  EXPECT_TRUE(replica
+                  .ApplyCommitted(ChangeOp::kUpdate, 1,
+                                  Row{Value(int64_t{1}), Value("x")}, 8)
+                  .IsInvalidArgument());
 
   Row out;
   ASSERT_TRUE(replica.Get(Snapshot{10, 0}, 1, &out).ok());
@@ -323,7 +333,7 @@ TEST_F(MvccTest, WalRecoveryReproducesCommittedState) {
     const ChangeOp op = r.type == WalRecordType::kInsert   ? ChangeOp::kInsert
                         : r.type == WalRecordType::kUpdate ? ChangeOp::kUpdate
                                                            : ChangeOp::kDelete;
-    recovered.ApplyCommitted(op, r.key, r.row, csn);
+    ASSERT_TRUE(recovered.ApplyCommitted(op, r.key, r.row, csn).ok());
   });
 
   Row out;
@@ -389,30 +399,34 @@ TEST_F(MvccTest, ConcurrentContendedWritersSerialize) {
 }
 
 // Property: a snapshot taken at any point sees exactly the committed state
-// as of that point, regardless of later activity.
+// as of that point, regardless of later activity. The STRING column gets a
+// fresh random length per write, so updates (own ones too) move images
+// between sizes.
 TEST_F(MvccTest, PropertySnapshotStability) {
+  using Cells = std::pair<int64_t, std::string>;
   Random rng(99);
-  std::map<Key, int64_t> model;  // committed state
-  std::vector<std::pair<Snapshot, std::map<Key, int64_t>>> checkpoints;
+  std::map<Key, Cells> model;  // committed state
+  std::vector<std::pair<Snapshot, std::map<Key, Cells>>> checkpoints;
 
   for (int step = 0; step < 500; ++step) {
     auto txn = mgr_.Begin();
     bool ok = true;
-    std::map<Key, std::pair<bool, int64_t>> pending;  // key -> (del, val)
+    std::map<Key, std::pair<bool, Cells>> pending;  // key -> (del, cells)
     const int ops = 1 + static_cast<int>(rng.Uniform(4));
     for (int o = 0; o < ops && ok; ++o) {
       const Key k = static_cast<Key>(rng.Uniform(30));
       const bool exists =
           pending.count(k) ? !pending[k].first : model.count(k) != 0;
+      const Cells cells{step, rng.NextString(rng.Uniform(80))};
       if (!exists) {
-        ok = store_.Insert(txn.get(), MakeRow(k, step)).ok();
-        if (ok) pending[k] = {false, step};
+        ok = store_.Insert(txn.get(), MakeRow(k, step, cells.second)).ok();
+        if (ok) pending[k] = {false, cells};
       } else if (rng.Bernoulli(0.3)) {
         ok = store_.Delete(txn.get(), k).ok();
-        if (ok) pending[k] = {true, 0};
+        if (ok) pending[k] = {true, Cells{}};
       } else {
-        ok = store_.Update(txn.get(), MakeRow(k, step)).ok();
-        if (ok) pending[k] = {false, step};
+        ok = store_.Update(txn.get(), MakeRow(k, step, cells.second)).ok();
+        if (ok) pending[k] = {false, cells};
       }
     }
     if (ok && rng.Bernoulli(0.8)) {
@@ -431,13 +445,229 @@ TEST_F(MvccTest, PropertySnapshotStability) {
 
   // Every historical snapshot still reads its exact historical state.
   for (const auto& [snap, expected] : checkpoints) {
-    std::map<Key, int64_t> got;
+    std::map<Key, Cells> got;
     store_.Scan(snap, [&](Key k, const Row& r) {
-      got[k] = r.Get(1).AsInt64();
+      got[k] = {r.Get(1).AsInt64(), r.Get(2).AsString()};
       return true;
     });
     EXPECT_EQ(got, expected);
   }
+}
+
+// A transaction rewriting its own version to a longer, then a shorter image
+// reads each of its writes back; an abort restores the committed row, a
+// commit publishes only the last write, and an older snapshot keeps its row.
+TEST_F(MvccTest, SelfUpdateGrowsAndShrinksAStringCell) {
+  const std::string kLong(200, 'g');
+  auto t0 = mgr_.Begin();
+  ASSERT_TRUE(store_.Insert(t0.get(), MakeRow(1, 0, "orig")).ok());
+  ASSERT_TRUE(mgr_.Commit(t0.get()).ok());
+  const Snapshot before = mgr_.CurrentSnapshot();
+
+  for (const bool commit : {false, true}) {
+    SCOPED_TRACE(commit ? "commit" : "abort");
+    auto t = mgr_.Begin();
+    Row out;
+    ASSERT_TRUE(store_.Update(t.get(), MakeRow(1, 1, "mid")).ok());
+    ASSERT_TRUE(store_.Update(t.get(), MakeRow(1, 2, kLong)).ok());  // grow
+    ASSERT_TRUE(store_.Get(t->snapshot(), 1, &out).ok());
+    EXPECT_EQ(out, MakeRow(1, 2, kLong));
+    ASSERT_TRUE(store_.Update(t.get(), MakeRow(1, 3, "")).ok());  // shrink
+    ASSERT_TRUE(store_.Get(t->snapshot(), 1, &out).ok());
+    EXPECT_EQ(out, MakeRow(1, 3, ""));
+    // A fresh key inserted and rewritten in the same transaction.
+    ASSERT_TRUE(store_.Insert(t.get(), MakeRow(2, 1, "s")).ok());
+    ASSERT_TRUE(store_.Update(t.get(), MakeRow(2, 2, kLong)).ok());
+    ASSERT_TRUE(store_.Update(t.get(), MakeRow(2, 3, "ss")).ok());
+    EXPECT_EQ(store_.VersionCount(), 3u);  // one new version per key
+    if (commit) {
+      ASSERT_TRUE(mgr_.Commit(t.get()).ok());
+      ASSERT_TRUE(store_.Get(mgr_.CurrentSnapshot(), 1, &out).ok());
+      EXPECT_EQ(out, MakeRow(1, 3, ""));
+      ASSERT_TRUE(store_.Get(mgr_.CurrentSnapshot(), 2, &out).ok());
+      EXPECT_EQ(out, MakeRow(2, 3, "ss"));
+    } else {
+      ASSERT_TRUE(mgr_.Abort(t.get()).ok());
+      ASSERT_TRUE(store_.Get(mgr_.CurrentSnapshot(), 1, &out).ok());
+      EXPECT_EQ(out, MakeRow(1, 0, "orig"));
+      EXPECT_TRUE(store_.Get(mgr_.CurrentSnapshot(), 2, &out).IsNotFound());
+      EXPECT_EQ(store_.VersionCount(), 1u);
+    }
+    ASSERT_TRUE(store_.Get(before, 1, &out).ok());
+    EXPECT_EQ(out, MakeRow(1, 0, "orig"));
+  }
+}
+
+// A snapshot held open across 1,000 committed updates of its key reads
+// exactly its own version, by point read and by scan; so does a snapshot
+// taken halfway.
+TEST_F(MvccTest, OpenSnapshotReadsItsVersionAcrossManyUpdates) {
+  const auto name = [](int i) { return std::string(i % 97, 'a' + i % 26); };
+  auto t0 = mgr_.Begin();
+  ASSERT_TRUE(store_.Insert(t0.get(), MakeRow(1, 0, name(0))).ok());
+  ASSERT_TRUE(mgr_.Commit(t0.get()).ok());
+  auto reader = mgr_.Begin();
+  Snapshot halfway{};
+  for (int i = 1; i <= 1000; ++i) {
+    auto t = mgr_.Begin();
+    ASSERT_TRUE(store_.Update(t.get(), MakeRow(1, i, name(i))).ok());
+    ASSERT_TRUE(mgr_.Commit(t.get()).ok());
+    if (i == 500) halfway = mgr_.CurrentSnapshot();
+  }
+  EXPECT_EQ(store_.VersionCount(), 1001u);
+  for (const auto& [snap, i] :
+       {std::pair{reader->snapshot(), 0}, std::pair{halfway, 500},
+        std::pair{mgr_.CurrentSnapshot(), 1000}}) {
+    SCOPED_TRACE("version " + std::to_string(i));
+    Row out;
+    ASSERT_TRUE(store_.Get(snap, 1, &out).ok());
+    EXPECT_EQ(out, MakeRow(1, i, name(i)));
+    std::vector<Row> scanned;
+    store_.Scan(snap, [&](Key, const Row& r) {
+      scanned.push_back(r);
+      return true;
+    });
+    EXPECT_EQ(scanned, std::vector<Row>{MakeRow(1, i, name(i))});
+  }
+  ASSERT_TRUE(mgr_.Commit(reader.get()).ok());
+}
+
+// MemoryBytes counts exactly the store's allocations: one VersionChain per
+// key ever written and, per live version, its header plus its image.
+TEST_F(MvccTest, MemoryBytesIsExactAtQuiescence) {
+  const RowImageLayout layout(TestSchema());
+  size_t chains = 0;
+  std::vector<Row> live;  // rows of the versions the store should hold
+  const auto expected = [&] {
+    size_t b = chains * sizeof(VersionChain);
+    for (const Row& r : live)
+      b += sizeof(RowVersion) + layout.EncodedSize(r);
+    return b;
+  };
+  EXPECT_EQ(store_.MemoryBytes(), 0u);
+
+  auto t1 = mgr_.Begin();  // insert
+  ASSERT_TRUE(store_.Insert(t1.get(), MakeRow(1, 1, "a")).ok());
+  ASSERT_TRUE(store_.Insert(t1.get(), MakeRow(2, 2, "bbbb")).ok());
+  ASSERT_TRUE(mgr_.Commit(t1.get()).ok());
+  chains = 2;
+  live = {MakeRow(1, 1, "a"), MakeRow(2, 2, "bbbb")};
+  EXPECT_EQ(store_.MemoryBytes(), expected());
+
+  auto t2 = mgr_.Begin();  // update: a second version of key 1
+  ASSERT_TRUE(store_.Update(t2.get(), MakeRow(1, 10, "cc")).ok());
+  ASSERT_TRUE(mgr_.Commit(t2.get()).ok());
+  live.push_back(MakeRow(1, 10, "cc"));
+  EXPECT_EQ(store_.MemoryBytes(), expected());
+
+  auto t3 = mgr_.Begin();  // self-updates: same size, larger, smaller
+  ASSERT_TRUE(store_.Insert(t3.get(), MakeRow(3, 3, "xy")).ok());
+  ASSERT_TRUE(store_.Update(t3.get(), MakeRow(3, 4, "zw")).ok());
+  ASSERT_TRUE(store_.Update(t3.get(), MakeRow(3, 5, std::string(90, 'q')))
+                  .ok());
+  ASSERT_TRUE(store_.Update(t3.get(), MakeRow(3, 6, "")).ok());
+  ASSERT_TRUE(mgr_.Commit(t3.get()).ok());
+  chains = 3;
+  live.push_back(MakeRow(3, 6, ""));
+  EXPECT_EQ(store_.MemoryBytes(), expected());
+
+  auto t4 = mgr_.Begin();  // abort: versions go, the new key's chain stays
+  ASSERT_TRUE(store_.Update(t4.get(), MakeRow(2, 20, "longer string")).ok());
+  ASSERT_TRUE(store_.Update(t4.get(), MakeRow(2, 21, "s")).ok());
+  ASSERT_TRUE(store_.Insert(t4.get(), MakeRow(4, 4, "new")).ok());
+  ASSERT_TRUE(store_.Delete(t4.get(), 1).ok());
+  ASSERT_TRUE(mgr_.Abort(t4.get()).ok());
+  chains = 4;
+  EXPECT_EQ(store_.MemoryBytes(), expected());
+
+  // Vacuum frees key 1's superseded version.
+  EXPECT_EQ(store_.Vacuum(mgr_.Watermark()), 1u);
+  live.erase(live.begin());
+  EXPECT_EQ(store_.MemoryBytes(), expected());
+  EXPECT_EQ(store_.VersionCount(), live.size());
+}
+
+// Readers racing writers on a packed store: writers move amounts between
+// keys and rewrite each touched row's string to match its new value, with
+// lengths that change image size; every read must see whole rows (string
+// consistent with value) and, per snapshot, the conserved total.
+TEST_F(MvccTest, ConcurrentReadersSeeWholeRowsAndOneSnapshot) {
+  constexpr Key kKeys = 16;
+  constexpr int64_t kInitial = 100;
+  const auto name = [](int64_t v) {  // values may go negative
+    const auto u = static_cast<uint64_t>(v);
+    return std::string(u % 61, static_cast<char>('a' + u % 26));
+  };
+  {
+    auto t = mgr_.Begin();
+    for (Key k = 0; k < kKeys; ++k)
+      ASSERT_TRUE(store_.Insert(t.get(), MakeRow(k, kInitial, name(kInitial)))
+                      .ok());
+    ASSERT_TRUE(mgr_.Commit(t.get()).ok());
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<int> commits{0}, bad_rows{0}, bad_sums{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 2; ++w) {
+    threads.emplace_back([&, w] {
+      Random rng(7 + w);
+      for (int i = 0; i < 400; ++i) {
+        auto t = mgr_.Begin();
+        const Key a = static_cast<Key>(rng.Uniform(kKeys));
+        const Key b =
+            (a + 1 + static_cast<Key>(rng.Uniform(kKeys - 1))) % kKeys;
+        Row ra, rb;
+        bool ok = store_.Get(t->snapshot(), a, &ra).ok() &&
+                  store_.Get(t->snapshot(), b, &rb).ok();
+        const int64_t amount = static_cast<int64_t>(rng.Uniform(10));
+        if (ok) {
+          const int64_t va = ra.Get(1).AsInt64() - amount;
+          const int64_t vb = rb.Get(1).AsInt64() + amount;
+          ok = store_.Update(t.get(), MakeRow(a, va, name(va))).ok() &&
+               store_.Update(t.get(), MakeRow(b, vb, name(vb))).ok();
+        }
+        if (ok && mgr_.Commit(t.get()).ok())
+          commits.fetch_add(1);
+        else if (t->active())
+          mgr_.Abort(t.get());
+      }
+    });
+  }
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&, r] {
+      while (!stop.load()) {
+        auto t = mgr_.Begin();
+        int64_t sum = 0;
+        Key rows = 0;
+        const auto check = [&](const Row& row) {
+          const int64_t v = row.Get(1).AsInt64();
+          if (row.Get(2).AsString() != name(v)) bad_rows.fetch_add(1);
+          sum += v;
+          ++rows;
+        };
+        if (r == 0) {
+          store_.Scan(t->snapshot(), [&](Key, const Row& row) {
+            check(row);
+            return true;
+          });
+        } else {
+          Row row;
+          for (Key k = 0; k < kKeys; ++k)
+            if (store_.Get(t->snapshot(), k, &row).ok()) check(row);
+        }
+        if (rows != kKeys || sum != kKeys * kInitial) bad_sums.fetch_add(1);
+        mgr_.Commit(t.get());
+      }
+    });
+  }
+  threads[0].join();
+  threads[1].join();
+  stop.store(true);
+  threads[2].join();
+  threads[3].join();
+  EXPECT_GT(commits.load(), 0);
+  EXPECT_EQ(bad_rows.load(), 0);
+  EXPECT_EQ(bad_sums.load(), 0);
 }
 
 }  // namespace
